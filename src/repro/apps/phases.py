@@ -20,9 +20,9 @@ import numpy as np
 
 from repro.apps.base import AppModel, CommSpec
 from repro.cluster.topology import grid_dims, torus_neighbors
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.hardware.power_model import PowerSignature
-from repro.simmpi.machine import BspMachine
+from repro.simmpi.machine import BatchedBspMachine
 from repro.simmpi.tracing import RankTrace
 
 __all__ = ["AppPhase", "PhasedApp", "GMRES_LIKE"]
@@ -153,9 +153,11 @@ class PhasedApp:
                 f"rates_per_phase must have shape (n_phases={len(self.phases)}, "
                 f"n_ranks); got {rates.shape}"
             )
+        if np.any(~np.isfinite(rates)) or np.any(rates <= 0):
+            raise SimulationError("rates must be finite and positive")
         n_ranks = rates.shape[1]
-        machine = BspMachine(
-            rates[0], latency_s=latency_s, bandwidth_gbps=bandwidth_gbps
+        machine = BatchedBspMachine(
+            rates[:1], latency_s=latency_s, bandwidth_gbps=bandwidth_gbps
         )
         neighbors = (
             torus_neighbors(grid_dims(n_ranks, self.comm.ndim))
@@ -164,16 +166,16 @@ class PhasedApp:
         )
         for _ in range(iters):
             for phase, phase_rates in zip(self.phases, rates):
-                machine.set_rates(phase_rates)
                 kappa = phase.cpu_bound_fraction
-                machine.compute(kappa * phase.seconds_fmax * fmax_ghz)
+                work = kappa * phase.seconds_fmax * fmax_ghz
+                machine.advance_local(work / phase_rates)
                 if kappa < 1.0:
-                    machine.elapse((1.0 - kappa) * phase.seconds_fmax)
+                    machine.advance_local((1.0 - kappa) * phase.seconds_fmax)
             if self.comm.kind == "neighbor":
                 machine.sendrecv(neighbors, self.comm.message_bytes)
             elif self.comm.kind == "allreduce":
                 machine.allreduce(max(self.comm.message_bytes, 8.0))
-        return machine.trace()
+        return machine.traces()[0]
 
 
 #: A Krylov-solver-like example: a compute-heavy kernel phase, a

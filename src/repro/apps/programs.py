@@ -1,8 +1,8 @@
 """Program builders for the event-driven simulator.
 
 The paper's benchmarks are bulk-synchronous and run on the vectorised
-:class:`~repro.simmpi.BspMachine`; these builders express the same
-communication skeletons (and two non-BSP ones) as explicit per-rank
+:class:`~repro.simmpi.machine.BatchedBspMachine`; these builders express
+the same communication skeletons (and two non-BSP ones) as explicit per-rank
 programs for :class:`~repro.simmpi.EventDrivenMachine` — useful for
 validating the fast path and for studying codes the paper's model
 cannot express (pipelines, master/worker).
@@ -34,8 +34,8 @@ def halo_exchange_program(
 ) -> Callable[[int], Iterator]:
     """BSP halo exchange: compute, send to all neighbours, receive from all.
 
-    Matches the :meth:`~repro.simmpi.BspMachine.sendrecv` semantics when
-    transfer costs are negligible — the cross-validation tests rely on
+    Matches the :meth:`~repro.simmpi.machine.BatchedBspMachine.sendrecv`
+    semantics when transfer costs are negligible — the cross-validation tests rely on
     this equivalence.
     """
     nb = np.asarray(neighbors)

@@ -88,6 +88,7 @@ ERROR_HTTP_STATUS = {
     "unknown-scheme": 400,
     "unknown-app": 400,
     "duplicate": 409,
+    "request-too-large": 413,
     "overloaded": 429,
     "draining": 503,
     "worker-crashed": 503,

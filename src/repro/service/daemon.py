@@ -59,6 +59,12 @@ from repro.service.engine import AllocationService
 
 __all__ = ["ServiceDaemon", "BackgroundServer", "serve"]
 
+#: Largest request the daemon reads: one NDJSON line, or one HTTP body
+#: or header line.  1 MiB holds a ``sweep`` over tens of thousands of
+#: budgets; anything longer gets a typed ``request-too-large`` reply
+#: (HTTP 413) instead of being buffered.
+MAX_REQUEST_BYTES = 1 << 20
+
 #: Test hook: sleep this many milliseconds inside every worker-thread
 #: dispatch.  Lets the overload tests hold requests in flight
 #: deterministically; unset (the default) costs one getenv per request.
@@ -130,18 +136,22 @@ class ServiceDaemon:
             if os.path.exists(self.socket_path):
                 os.unlink(self.socket_path)
             self._servers.append(
-                await asyncio.start_unix_server(self._serve_ndjson, self.socket_path)
+                await asyncio.start_unix_server(
+                    self._serve_ndjson, self.socket_path, limit=MAX_REQUEST_BYTES
+                )
             )
         if self.port is not None:
             server = await asyncio.start_server(
-                self._serve_ndjson, "127.0.0.1", self.port
+                self._serve_ndjson, "127.0.0.1", self.port,
+                limit=MAX_REQUEST_BYTES,
             )
             if self.port == 0:  # ephemeral: record what the OS picked
                 self.port = server.sockets[0].getsockname()[1]
             self._servers.append(server)
         if self.http_port is not None:
             server = await asyncio.start_server(
-                self._serve_http, "127.0.0.1", self.http_port
+                self._serve_http, "127.0.0.1", self.http_port,
+                limit=MAX_REQUEST_BYTES,
             )
             if self.http_port == 0:
                 self.http_port = server.sockets[0].getsockname()[1]
@@ -281,6 +291,10 @@ class ServiceDaemon:
                     line = await reader.readline()
                 except (ConnectionResetError, asyncio.IncompleteReadError):
                     break
+                except ValueError:  # the line overran MAX_REQUEST_BYTES
+                    writer.write(encode_reply("?", error=_too_large()))
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 if not line.strip():
@@ -356,6 +370,8 @@ class ServiceDaemon:
                 name, _, value = header.partition(":")
                 if name.lower() == "content-length":
                     length = int(value.strip() or 0)
+            if length > MAX_REQUEST_BYTES:
+                return 413, encode_reply("?", error=_too_large())
             body = await reader.readexactly(length) if length else b""
         except (asyncio.IncompleteReadError, ValueError, UnicodeDecodeError):
             err = ServiceError("bad-request", "malformed HTTP request")
@@ -394,11 +410,18 @@ class ServiceDaemon:
         return 200, encode_reply(op, result)
 
 
+def _too_large() -> ServiceError:
+    return ServiceError(
+        "request-too-large", f"request exceeds {MAX_REQUEST_BYTES} bytes"
+    )
+
+
 _HTTP_REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     409: "Conflict",
+    413: "Content Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",

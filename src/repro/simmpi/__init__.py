@@ -6,9 +6,12 @@ compute speed follows module frequency, and synchronising communication
 delay while accumulating wait time on the fast ranks.  This subpackage
 simulates exactly that:
 
-* :mod:`repro.simmpi.machine` — :class:`BspMachine`, a per-rank virtual
-  clock with ``compute`` / ``barrier`` / ``allreduce`` / ``sendrecv``
-  operations, all vectorised over ranks.
+* :mod:`repro.simmpi.machine` — ``BatchedBspMachine``, per-rank virtual
+  clocks for one or more rate configurations (a ``(n_configs, n_ranks)``
+  plane; a single run is one row) with ``advance_local`` / ``barrier`` /
+  ``allreduce`` / ``sendrecv`` operations vectorised over the plane, the
+  column-range primitives the tiled executor is built from, and an
+  optional sync observer (telemetry phase timelines).
 * :mod:`repro.simmpi.tracing` — :class:`RankTrace`, the per-rank timing
   record (total, compute, and MPI wait time, the quantity plotted in
   Fig 3 and Fig 8(ii)).
@@ -17,9 +20,10 @@ simulates exactly that:
   deadlock detection, for programs that are not bulk-synchronous.  The
   two paths cross-validate each other in the test suite.
 * :mod:`repro.simmpi.fastpath` — the fleet-scale fast path: a vector-op
-  program IR executed as whole-fleet array operations with steady-state
-  fast-forwarding, plus the lowering onto the event-driven machine that
-  the differential equivalence suite verifies against.
+  program IR executed by one column-tiled executor as whole-fleet array
+  operations with steady-state fast-forwarding (unsharded = one
+  whole-plane tile), plus the lowering onto the event-driven machine
+  that the differential equivalence suite verifies against.
 """
 
 from repro.simmpi.eventsim import (
@@ -41,15 +45,12 @@ from repro.simmpi.fastpath import (
     VSendrecv,
     is_bsp_expressible,
     run_event,
-    run_fast,
+    run_fast_batched,
     simulate_app,
 )
-from repro.simmpi.machine import BspMachine, MachineState
 from repro.simmpi.tracing import RankTrace
 
 __all__ = [
-    "BspMachine",
-    "MachineState",
     "RankTrace",
     "EventDrivenMachine",
     "Compute",
@@ -65,7 +66,7 @@ __all__ = [
     "VAllreduce",
     "VSendrecv",
     "VLoop",
-    "run_fast",
+    "run_fast_batched",
     "run_event",
     "simulate_app",
     "is_bsp_expressible",

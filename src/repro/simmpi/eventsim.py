@@ -1,7 +1,7 @@
 """Event-driven MPI program simulator (the general-purpose path).
 
-:class:`~repro.simmpi.machine.BspMachine` is the vectorised fast path
-for bulk-synchronous codes — every rank executes the same superstep
+:class:`~repro.simmpi.machine.BatchedBspMachine` is the vectorised fast
+path for bulk-synchronous codes — every rank executes the same superstep
 structure, so per-superstep array operations suffice.  This module is
 the general path: each rank runs its *own* program (a generator yielding
 operations), with genuine point-to-point message matching, blocking
@@ -113,7 +113,8 @@ class _RankState:
 class EventDrivenMachine:
     """Runs one generator program per rank with message matching.
 
-    Parameters mirror :class:`~repro.simmpi.BspMachine`.
+    Parameters mirror :class:`~repro.simmpi.machine.BatchedBspMachine`,
+    for a single configuration (``rates`` is 1-D).
     """
 
     def __init__(

@@ -10,33 +10,41 @@ superstep suffices.  This module provides that fast path:
 * a tiny vector-op IR (:class:`VCompute`, :class:`VElapse`,
   :class:`VBarrier`, :class:`VAllreduce`, :class:`VSendrecv`,
   :class:`VLoop`) wrapped in a :class:`BspProgram`;
-* :func:`run_fast` — executes a program on a
-  :class:`~repro.simmpi.machine.BspMachine` with two whole-fleet
-  shortcuts: communication-free op runs are fused into a single
-  vectorised advance, and iterated supersteps are *fast-forwarded* once
-  their per-iteration state increments become stationary (after a
-  barrier/allreduce all clocks coincide, so iteration k+1 repeats
-  iteration k exactly; a halo exchange reaches the same steady state
-  once the slowest module's wavefront has propagated around the torus);
+* one executor for it: a program runs on a ``(n_configs, n_ranks)``
+  :class:`~repro.simmpi.machine.BatchedBspMachine` plane (a single run
+  is a one-row plane) split into column tiles — the whole plane is one
+  tile unless a :class:`~repro.simmpi.sharding.ShardPlan` says
+  otherwise.  Two whole-fleet shortcuts: communication-free op runs are
+  fused into a single vectorised advance, and iterated supersteps are
+  *fast-forwarded* once their per-iteration state increments become
+  stationary (after a barrier/allreduce all clocks coincide, so
+  iteration k+1 repeats iteration k exactly; a halo exchange reaches the
+  same steady state once the slowest module's wavefront has propagated
+  around the torus).  :func:`run_fast_batched` is the entry point;
+  :func:`run_fast_sharded` takes an explicit plan and thread/process
+  mode;
 * :func:`run_event` / :func:`to_event_program` — lowers the same program
   to per-rank generators on the :class:`EventDrivenMachine`, the
   independent reference the differential suite
   (``tests/simmpi/test_fastpath_differential.py``) checks against;
 * :func:`simulate_app` — the dispatch :mod:`repro.core.runner` uses:
   BSP-expressible applications (``comm.kind`` of ``"none"``,
-  ``"neighbor"`` or ``"allreduce"``) take the vectorised path, anything
+  ``"neighbor"`` or ``"allreduce"``) run as a one-row plane, anything
   else (the ``"pipeline"`` kind) falls back to the event-driven machine.
 
 Equivalence contract
 --------------------
-For any :class:`BspProgram`, :func:`run_fast` and :func:`run_event`
-agree on every :class:`RankTrace` field to ≤ 1e-9 relative error,
-with one caveat: the event lowering of :class:`VSendrecv` models the
-exchange as eager point-to-point messages, which charges transfer costs
-per message instead of once per superstep — the two paths are exactly
-equivalent only when the exchange's transfer cost is zero (zero latency
-and zero payload, pure synchronisation).  Barrier and allreduce costs
-use the same closed form on both machines and match at any cost.
+For any :class:`BspProgram`, a one-row :func:`run_fast_batched` run and
+:func:`run_event` agree on every :class:`RankTrace` field to ≤ 1e-9
+relative error, with one caveat: the event lowering of
+:class:`VSendrecv` models the exchange as eager point-to-point messages,
+which charges transfer costs per message instead of once per superstep —
+the two paths are exactly equivalent only when the exchange's transfer
+cost is zero (zero latency and zero payload, pure synchronisation).
+Barrier and allreduce costs use the same closed form on both machines
+and match at any cost.  Every row of a multi-row plane, under any shard
+plan, is bit-identical to the one-row run of its rates
+(ARCHITECTURE.md invariants 7–8).
 
 Fast-forward accuracy: extrapolating a stationary increment replaces
 ``m`` float additions by one multiply-add, perturbing results by
@@ -64,7 +72,7 @@ from repro.simmpi.eventsim import (
     Recv,
     Send,
 )
-from repro.simmpi.machine import BatchedBspMachine, BspMachine, MachineState
+from repro.simmpi.machine import BatchedBspMachine
 from repro.simmpi.sharding import SHARD_MODES, ShardPlan, ShardSpec, plan_shards
 from repro.simmpi.tracing import RankTrace
 
@@ -76,7 +84,6 @@ __all__ = [
     "VSendrecv",
     "VLoop",
     "BspProgram",
-    "run_fast",
     "run_fast_batched",
     "run_fast_sharded",
     "run_event",
@@ -98,8 +105,8 @@ _MIN_FF_REMAINING = 3
 
 #: Consecutive identical per-iteration increments required before the
 #: loop is declared stationary.  One uniform-shift observation is
-#: already sufficient mathematically (see :func:`_exec_loop`); the
-#: second is a guard against accumulated rounding noise.
+#: already sufficient mathematically (see :func:`_exec_loop_sharded`);
+#: the second is a guard against accumulated rounding noise.
 _FF_STABLE_ITERS = 2
 
 
@@ -205,7 +212,27 @@ class BspProgram:
                 raise ConfigurationError(f"unknown fast-path op {op!r}")
 
 
-# -- the vectorised executor ---------------------------------------------------
+# -- the executor --------------------------------------------------------------
+#
+# Tiling strategy: a plane-wide loop body would make one full-plane pass
+# per numpy op (~30 per superstep with the steady-state detector), so
+# beyond cache size every op would stream from DRAM.  The executor
+# instead organises each superstep into 2-3 fused *tile passes* — per
+# tile: [finish previous sync; snapshot; advance locals; partial
+# row-max], [halo gathers], and [finish sync; delta; detector verdicts]
+# — so each tile's ~20 arrays are touched many times while cache-hot and
+# streamed from DRAM only once per pass.  Per-segment local dt is
+# computed once per loop entry (it is loop-invariant) instead of once
+# per iteration.  An unsharded run is the same walk over one
+# whole-plane tile, inline.
+#
+# Bit-identity (ARCHITECTURE.md invariant 8): every tiled update applies
+# the same elementwise IEEE-754 ops as the whole-width update on the
+# same operands; the only cross-column couplings — the barrier row max,
+# the halo gathers, and the detector's row reductions — are exact
+# operand selections / AND-reductions, which commute with any column
+# partition.  Cross-row coupling does not exist, so row blocks (and the
+# one-row plane of a single run) are trivially exact.
 
 
 def _has_sync(ops: Sequence[_VOp]) -> bool:
@@ -216,321 +243,16 @@ def _has_sync(ops: Sequence[_VOp]) -> bool:
     )
 
 
-def _local_dt(ops: Sequence[_VOp], rates: np.ndarray) -> np.ndarray:
-    """Combined per-rank seconds of a communication-free op sequence."""
-    n = rates.shape[0]
-    dt = np.zeros(n)
-    for op in ops:
-        if isinstance(op, VCompute):
-            dt += np.broadcast_to(
-                np.asarray(op.ghz_seconds, dtype=float), (n,)
-            ) / rates
-        elif isinstance(op, VElapse):
-            dt += np.broadcast_to(np.asarray(op.seconds, dtype=float), (n,))
-        elif isinstance(op, VLoop):
-            dt += op.iters * _local_dt(op.body, rates)
-        else:  # pragma: no cover - guarded by _has_sync
-            raise SimulationError(f"{op!r} is not a local op")
-    return dt
-
-
-def _exec_ops(machine: BspMachine, ops: Sequence[_VOp]) -> None:
-    """Execute an op sequence, fusing communication-free runs."""
-    i, n_ops = 0, len(ops)
-    while i < n_ops:
-        op = ops[i]
-        # Fuse a maximal run of sync-free ops into one fleet-wide advance.
-        if isinstance(op, _LOCAL_OPS) or (
-            isinstance(op, VLoop) and not _has_sync(op.body)
-        ):
-            j = i
-            while j < n_ops and (
-                isinstance(ops[j], _LOCAL_OPS)
-                or (isinstance(ops[j], VLoop) and not _has_sync(ops[j].body))
-            ):
-                j += 1
-            machine.advance_local(_local_dt(ops[i:j], machine.rates))
-            i = j
-            continue
-        if isinstance(op, VBarrier):
-            machine.barrier()
-        elif isinstance(op, VAllreduce):
-            machine.allreduce(op.message_bytes)
-        elif isinstance(op, VSendrecv):
-            machine.sendrecv(np.asarray(op.neighbors), op.message_bytes)
-        elif isinstance(op, VLoop):
-            _exec_loop(machine, op)
-        else:  # pragma: no cover - programs are validated on construction
-            raise SimulationError(f"unknown fast-path op {op!r}")
-        i += 1
-
-
-def _is_uniform_shift(clock_delta: np.ndarray) -> bool:
-    """Whether one iteration advanced every rank's clock by the same
-    amount (to rounding noise)."""
-    return bool(
-        np.allclose(clock_delta, clock_delta[0], rtol=1e-12, atol=1e-15)
-    )
-
-
-def _exec_loop(machine: BspMachine, loop: VLoop) -> None:
-    """Run a synchronising loop, fast-forwarding its steady state.
-
-    Every body op commutes with adding a constant to all clocks: compute
-    and elapse add fixed per-rank amounts, and barrier / allreduce /
-    halo-exchange are max-plus operations, so shifting the whole clock
-    vector by ``c`` shifts their result by ``c``.  Hence a *uniform*
-    per-iteration clock increment is a proof of stationarity — the next
-    iteration is the previous one translated in time, forever.  A stable
-    but **non-uniform** increment proves nothing: in a halo-exchange
-    ring the slowest module's delay wavefront moves one hop per
-    superstep, and ranks it has not yet reached advance at their own
-    (transient) pace for up to the graph diameter before snapping to the
-    global rate.  We therefore fast-forward only on a uniform, repeated
-    increment, and fall back to plain iteration otherwise.  A
-    barrier/allreduce body equalises all clocks each iteration, so its
-    increment is uniform from the second pass; a halo-exchange body gets
-    there once the wavefront has covered the graph (at most the torus
-    diameter, usually far fewer iterations because near-slowest modules
-    are dense at fleet scale).
-    """
-    remaining = loop.iters
-    # Preallocated snapshot/delta buffers reused across iterations: the
-    # steady-state detector would otherwise allocate ~8 fleet-sized
-    # arrays per superstep.  Values are identical — the buffers only
-    # change where the temporaries live.
-    n = machine.n_ranks
-    _blank = lambda: MachineState(*(np.empty(n) for _ in range(4)))  # noqa: E731
-    before, delta, prev_delta = _blank(), _blank(), _blank()
-    have_prev = False
-    stable = 0
-    while remaining > 0:
-        machine.state_into(before)
-        _exec_ops(machine, loop.body)
-        remaining -= 1
-        if remaining < _MIN_FF_REMAINING:
-            continue
-        machine.delta_into(before, delta)
-        if (
-            have_prev
-            and delta.allclose(prev_delta)
-            and _is_uniform_shift(delta.clock_s)
-        ):
-            stable += 1
-            if stable >= _FF_STABLE_ITERS:
-                machine.fast_forward(delta, remaining)
-                telemetry.count("sim.fast_forward")
-                telemetry.observe("sim.ff_saved_iters", remaining)
-                return
-        else:
-            stable = 0
-        prev_delta, delta = delta, prev_delta
-        have_prev = True
-
-
-def run_fast(
-    program: BspProgram,
-    rates: np.ndarray,
-    *,
-    latency_s: float = 5e-6,
-    bandwidth_gbps: float = 5.0,
-) -> RankTrace:
-    """Execute a :class:`BspProgram` on the vectorised fast path."""
-    r = np.asarray(rates, dtype=float)
-    if r.shape != (program.n_ranks,):
-        raise ConfigurationError(
-            f"rates shape {r.shape} != program ranks ({program.n_ranks},)"
-        )
-    machine = BspMachine(r, latency_s=latency_s, bandwidth_gbps=bandwidth_gbps)
-    machine.observer = telemetry.timeline("fastpath")
-    with telemetry.span("sim.run_fast", ranks=program.n_ranks):
-        _exec_ops(machine, program.ops)
-    return machine.trace()
-
-
-# -- the config-batched executor -----------------------------------------------
-
-
-def _local_dt_batched(ops: Sequence[_VOp], rates: np.ndarray) -> np.ndarray:
-    """Combined per-rank seconds of a communication-free op sequence,
-    for every config row at once (row-wise identical to :func:`_local_dt`)."""
-    n = rates.shape[1]
-    dt = np.zeros(rates.shape)
-    for op in ops:
-        if isinstance(op, VCompute):
-            dt += np.broadcast_to(
-                np.asarray(op.ghz_seconds, dtype=float), (n,)
-            ) / rates
-        elif isinstance(op, VElapse):
-            dt += np.broadcast_to(np.asarray(op.seconds, dtype=float), (n,))
-        elif isinstance(op, VLoop):
-            dt += op.iters * _local_dt_batched(op.body, rates)
-        else:  # pragma: no cover - guarded by _has_sync
-            raise SimulationError(f"{op!r} is not a local op")
-    return dt
-
-
-def _exec_ops_batched(machine: BatchedBspMachine, ops: Sequence[_VOp]) -> None:
-    """Execute an op sequence on the 2-D machine, fusing communication-free
-    runs exactly where :func:`_exec_ops` does (fusion boundaries depend
-    only on op types, so the two paths fuse identically)."""
-    i, n_ops = 0, len(ops)
-    while i < n_ops:
-        op = ops[i]
-        if isinstance(op, _LOCAL_OPS) or (
-            isinstance(op, VLoop) and not _has_sync(op.body)
-        ):
-            j = i
-            while j < n_ops and (
-                isinstance(ops[j], _LOCAL_OPS)
-                or (isinstance(ops[j], VLoop) and not _has_sync(ops[j].body))
-            ):
-                j += 1
-            machine.advance_local(_local_dt_batched(ops[i:j], machine.rates))
-            i = j
-            continue
-        if isinstance(op, VBarrier):
-            machine.barrier()
-        elif isinstance(op, VAllreduce):
-            machine.allreduce(op.message_bytes)
-        elif isinstance(op, VSendrecv):
-            machine.sendrecv(np.asarray(op.neighbors), op.message_bytes)
-        elif isinstance(op, VLoop):
-            _exec_loop_batched(machine, op)
-        else:  # pragma: no cover - programs are validated on construction
-            raise SimulationError(f"unknown fast-path op {op!r}")
-        i += 1
-
-
-def _rows_close(delta: tuple, prev: tuple, scratch: tuple) -> np.ndarray:
-    """Per-row equivalent of :meth:`MachineState.allclose`: True where a
-    row's four increments all match the previous iteration's.
-
-    Evaluates ``np.isclose``'s finite-operand predicate
-    ``|d - p| <= atol + rtol * |p|`` directly into the two caller-owned
-    scratch arrays — same decision, none of ``isclose``'s
-    machine-sized temporaries (sim deltas are always finite).
-    """
-    diff, tol = scratch[0], scratch[1]
-    ok = np.ones(delta[0].shape[0], dtype=bool)
-    for d, p in zip(delta, prev):
-        np.subtract(d, p, out=diff)
-        np.abs(diff, out=diff)
-        np.abs(p, out=tol)
-        tol *= 1e-12
-        tol += 1e-15
-        ok &= (diff <= tol).all(axis=1)
-    return ok
-
-
-def _rows_uniform(clock_delta: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Per-row equivalent of :func:`_is_uniform_shift` (same
-    allocation-free ``isclose`` predicate as :func:`_rows_close`;
-    the reference column's tolerance is a ``(rows, 1)`` broadcast)."""
-    ref = clock_delta[:, :1]
-    np.subtract(clock_delta, ref, out=scratch)
-    np.abs(scratch, out=scratch)
-    tol = 1e-12 * np.abs(ref)
-    tol += 1e-15
-    return (scratch <= tol).all(axis=1)
-
-
-def _exec_loop_batched(machine: BatchedBspMachine, loop: VLoop) -> None:
-    """Run a synchronising loop for all configs, fast-forwarding each
-    config's steady state *independently*.
-
-    The timing invariant that makes this bit-identical to per-config
-    :func:`_exec_loop`: a config must be fast-forwarded at exactly the
-    iteration its 1-D run would be, because ``c + k·d`` and
-    ``(c + d) + (k−1)·d`` differ in the last ulp.  The per-row
-    ``(prev, stable)`` detector state therefore survives the active-set
-    shrink — retired configs leave the batch, the rest carry their
-    streak across the extraction.  Every machine op is row-independent,
-    so executing the surviving subset alone reproduces exactly what the
-    full batch would have computed for those rows.
-    """
-    remaining = loop.iters
-    parent = machine
-    sub = machine
-    rows = np.arange(machine.n_configs)
-    shape = (machine.n_configs, machine.n_ranks)
-    before = tuple(np.empty(shape) for _ in range(4))
-    delta = tuple(np.empty(shape) for _ in range(4))
-    prev = tuple(np.empty(shape) for _ in range(4))
-    have_prev = False
-    stable = np.zeros(machine.n_configs, dtype=np.int64)
-    while remaining > 0:
-        sub.state_into(before)
-        _exec_ops_batched(sub, loop.body)
-        remaining -= 1
-        if remaining < _MIN_FF_REMAINING:
-            continue
-        sub.delta_into(before, delta)
-        if have_prev:
-            # `before` is dead until the next state_into: reuse it as the
-            # detector's scratch space.
-            ok = _rows_close(delta, prev, before) & _rows_uniform(
-                delta[0], before[2]
-            )
-            stable = np.where(ok, stable + 1, 0)
-        else:
-            stable[:] = 0
-        retire = stable >= _FF_STABLE_ITERS
-        if np.any(retire):
-            sub.fast_forward_rows(retire, delta, remaining)
-            telemetry.count("sim.fast_forward", int(retire.sum()))
-            telemetry.observe("sim.ff_saved_iters", remaining)
-            if sub is not parent:
-                parent.write_rows(rows[retire], sub, retire)
-            keep = ~retire
-            rows = rows[keep]
-            if rows.size == 0:
-                return
-            sub = sub.extract_rows(keep)
-            shape = (rows.size, sub.n_ranks)
-            prev = tuple(d[keep] for d in delta)
-            before = tuple(np.empty(shape) for _ in range(4))
-            delta = tuple(np.empty(shape) for _ in range(4))
-            stable = stable[keep]
-            have_prev = True
-        else:
-            prev, delta = delta, prev
-            have_prev = True
-    if sub is not parent:
-        parent.write_rows(rows, sub)
-
-
-# -- the sharded executor ------------------------------------------------------
-#
-# Tiling strategy: the unsharded loop body makes one full-plane pass per
-# numpy op (~30 per superstep with the detector), so beyond cache size
-# every op streams from DRAM.  The sharded executor reorganises each
-# superstep into 2-3 fused *tile passes* — per tile: [finish previous
-# sync; snapshot; advance locals; partial row-max], [halo gathers], and
-# [finish sync; delta; detector verdicts] — so each tile's ~20 arrays
-# are touched many times while cache-hot and streamed from DRAM only
-# once per pass.  Per-segment local dt is computed once per loop entry
-# (it is loop-invariant) instead of once per iteration.
-#
-# Bit-identity (ARCHITECTURE.md invariant 8): every tiled update applies
-# the same elementwise IEEE-754 ops as its full-width original on the
-# same operands; the only cross-column couplings — the barrier row max,
-# the halo gathers, and the detector's row reductions — are exact
-# operand selections / AND-reductions, which commute with any column
-# partition.  Cross-row coupling does not exist, so row blocks are
-# trivially exact.
-
-
 def _shard_segments(
     ops: Sequence[_VOp],
 ) -> list[tuple[tuple, _VOp | None]]:
     """Split an op sequence at its synchronisation points.
 
     Returns ``(locals, sync)`` pairs where ``locals`` is a maximal
-    sync-free run — exactly the runs :func:`_exec_ops_batched` fuses,
-    since the boundaries depend only on op types — and ``sync`` is the
-    following barrier / allreduce / sendrecv / sync-bearing loop, or
-    ``None`` for a trailing local run.
+    sync-free run — fused into one local-time advance, since the
+    boundaries depend only on op types — and ``sync`` is the following
+    barrier / allreduce / sendrecv / sync-bearing loop, or ``None`` for a
+    trailing local run.
     """
     segs: list[tuple[tuple, _VOp | None]] = []
     run: list[_VOp] = []
@@ -550,9 +272,9 @@ def _shard_segments(
 def _local_dt_tile(
     ops: Sequence[_VOp], rates: np.ndarray, a: int, b: int
 ) -> np.ndarray:
-    """:func:`_local_dt_batched` restricted to columns ``[a, b)`` —
-    elementwise identical to slicing the full result, since every term
-    is per-element."""
+    """Combined per-rank seconds of a communication-free op sequence on
+    columns ``[a, b)`` — elementwise identical to slicing the whole-width
+    result, since every term is per-element."""
     sub = rates[:, a:b]
     w = b - a
     dt = np.zeros(sub.shape)
@@ -576,33 +298,32 @@ class _ShardedExec:
     Owns the machine, the tile boundaries, the full-width gathered-ready
     plane, the per-tile partial buffers, and the (shared) thread pool.
     Per-tile scratch makes every tile pass race-free: concurrent visits
-    write only their own column range and their own scratch.  ``busy_s``
-    accumulates per-tile busy seconds across the whole run (shared
-    through :meth:`shrink` so retirement does not reset the telemetry).
+    write only their own column range and their own scratch.  Scratch is
+    allocated on first use, so a sync-free program allocates none.
+    ``busy_s`` accumulates per-tile busy seconds across the whole run
+    (shared through :meth:`shrink` so retirement does not reset the
+    telemetry).
     """
 
     __slots__ = (
         "machine", "bounds", "pool", "busy_s",
-        "ready", "partials", "wait_scr", "diff_scr", "tol_scr", "gather_scr",
+        "ready", "partials", "sync_scr", "gather_scr",
     )
 
     def __init__(
         self,
         machine: BatchedBspMachine,
         bounds: tuple[tuple[int, int], ...],
-        pool: ThreadPoolExecutor | None,
-        busy_s: list[float],
+        pool: ThreadPoolExecutor | None = None,
+        busy_s: list[float] | None = None,
     ):
         self.machine = machine
         self.bounds = bounds
         self.pool = pool
-        self.busy_s = busy_s
-        c = machine.n_configs
-        self.ready = np.empty(machine.rates.shape)
-        self.partials = np.empty((c, len(bounds)))
-        self.wait_scr = [np.empty((c, b - a)) for a, b in bounds]
-        self.diff_scr = [np.empty((c, b - a)) for a, b in bounds]
-        self.tol_scr = [np.empty((c, b - a)) for a, b in bounds]
+        self.busy_s = [0.0] * len(bounds) if busy_s is None else busy_s
+        self.ready: np.ndarray | None = None
+        self.partials = np.empty((machine.n_configs, len(bounds)))
+        self.sync_scr: list[tuple[np.ndarray, ...] | None] = [None] * len(bounds)
         self.gather_scr: list[tuple[np.ndarray, np.ndarray] | None]
         self.gather_scr = [None] * len(bounds)
 
@@ -612,22 +333,34 @@ class _ShardedExec:
             self.machine.extract_rows(keep), self.bounds, self.pool, self.busy_s
         )
 
+    def _tile_arrays(self, t: int, k: int) -> tuple[np.ndarray, ...]:
+        a, b = self.bounds[t]
+        return tuple(
+            np.empty((self.machine.n_configs, b - a)) for _ in range(k)
+        )
+
+    def scratch(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Tile *t*'s ``(wait, diff, tol)`` scratch: the sync's wait
+        gap and the detector's predicate buffers (``diff`` doubles as
+        the fast-forward multiply buffer)."""
+        scr = self.sync_scr[t]
+        if scr is None:
+            scr = self.sync_scr[t] = self._tile_arrays(t, 3)
+        return scr
+
     def gather_pair(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Tile *t*'s halo-gather scratch, allocated on first exchange."""
         pair = self.gather_scr[t]
         if pair is None:
-            a, b = self.bounds[t]
-            c = self.machine.n_configs
-            pair = (np.empty((c, b - a)), np.empty((c, b - a)))
-            self.gather_scr[t] = pair
+            pair = self.gather_scr[t] = self._tile_arrays(t, 2)
         return pair
 
     def apply_sync(self, pend: tuple, t: int, a: int, b: int) -> None:
         """Apply a pending sync's phase 2 to tile *t* (wait/comm/clock)."""
-        kind, ready, cost = pend
+        op, ready, cost = pend
         self.machine.sync_cols(
-            a, b, ready if kind == "row" else ready[:, a:b], cost,
-            self.wait_scr[t],
+            a, b, ready[:, a:b] if op == "sendrecv" else ready, cost,
+            self.scratch(t)[0], op,
         )
 
     def foreach(self, visit) -> None:
@@ -697,16 +430,10 @@ def _barrier_pend(ex: _ShardedExec, op: _VOp) -> tuple:
     """Reduce the tiles' partial row maxima (max of maxes is the exact
     full-row max) and price the collective; a ``partial`` pass must have
     just filled ``ex.partials``."""
-    m = ex.machine
     ready_row = np.max(ex.partials, axis=1)[:, None]
     if isinstance(op, VAllreduce):
-        hops = max(1, int(np.ceil(np.log2(max(m.n_ranks, 2)))))
-        cost = 2 * (
-            hops * m.latency_s + op.message_bytes / (m.bandwidth_gbps * 1e9)
-        )
-    else:
-        cost = 0.0
-    return ("row", ready_row, cost)
+        return ("allreduce", ready_row, ex.machine.allreduce_cost(op.message_bytes))
+    return ("barrier", ready_row, 0.0)
 
 
 def _sendrecv_phase1(ex: _ShardedExec, op: VSendrecv) -> tuple:
@@ -718,22 +445,16 @@ def _sendrecv_phase1(ex: _ShardedExec, op: VSendrecv) -> tuple:
     clock is written until the pass completes.
     """
     m = ex.machine
-    nb = np.asarray(op.neighbors)
-    if nb.ndim != 2 or nb.shape[0] != m.n_ranks:
-        raise SimulationError(
-            f"neighbors must have shape (n_ranks, k); got {nb.shape}"
-        )
-    if nb.size and (nb.min() < 0 or nb.max() >= m.n_ranks):
-        raise SimulationError("neighbor indices out of range")
+    nb = m.check_neighbors(op.neighbors)
+    if ex.ready is None:
+        ex.ready = np.empty(m.rates.shape)
+    ready = ex.ready
 
     def visit(t: int, a: int, b: int) -> None:
-        m.gather_ready_cols(a, b, nb, ex.ready[:, a:b], ex.gather_pair(t))
+        m.gather_ready_cols(a, b, nb, ready[:, a:b], ex.gather_pair(t))
 
     ex.foreach(visit)
-    cost = m.latency_s + op.message_bytes * nb.shape[1] / (
-        m.bandwidth_gbps * 1e9
-    )
-    return ("full", ex.ready, cost)
+    return ("sendrecv", ready, m.sendrecv_cost(nb.shape[1], op.message_bytes))
 
 
 def _ref_delta(
@@ -747,10 +468,10 @@ def _ref_delta(
     read another tile's in-flight delta.  Replays the exact IEEE-754 ops
     the closing pass performs on column 0 (``ready + cost``, ``+ dt``,
     ``- before``), so the result is bitwise equal to ``delta[0][:, :1]``.
-    Returns ``(ref, tolerance)`` as :func:`_rows_uniform` computes them.
+    Returns ``(ref, tolerance)`` for the uniform-shift test.
     """
     if pend is not None:
-        _kind, ready, cost = pend
+        _op, ready, cost = pend
         post = ready[:, 0] + cost
     else:
         post = ex.machine.clock_s[:, 0].copy()
@@ -776,9 +497,14 @@ def _closing_pass(
 ) -> None:
     """End-of-iteration pass: finish the superstep (pending sync +
     trailing locals), write the per-tile delta, and — when ``ref`` is
-    given — evaluate the steady-state detector's per-tile verdicts with
-    the same predicate as :func:`_rows_close` / :func:`_rows_uniform`
-    (a row's full-width ``.all`` is the AND of its tile ``.all``\\ s)."""
+    given — evaluate the steady-state detector's per-tile verdicts.
+
+    The predicate is ``np.isclose``'s finite-operand form
+    ``|d - p| <= 1e-15 + 1e-12·|p|`` (sim deltas are always finite),
+    evaluated into tile scratch: "close" compares each of the four
+    increments with the previous iteration's, "uniform" compares the
+    clock increment with column 0's.  A row's whole-width ``.all`` is
+    the AND of its tile ``.all``\\ s."""
     m = ex.machine
 
     def visit(t: int, a: int, b: int) -> None:
@@ -789,7 +515,7 @@ def _closing_pass(
         m.delta_cols(a, b, before, delta)
         if ref is None:
             return
-        diff, tol = ex.diff_scr[t], ex.tol_scr[t]
+        _wait, diff, tol = ex.scratch(t)
         ok = None
         for d, p in zip(delta, prev):
             np.subtract(d[:, a:b], p[:, a:b], out=diff)
@@ -808,15 +534,38 @@ def _closing_pass(
 
 
 def _exec_loop_sharded(ex: _ShardedExec, loop: VLoop) -> None:
-    """The sharded twin of :func:`_exec_loop_batched`.
+    """Run a synchronising loop for all configs, fast-forwarding each
+    config's steady state *independently*.
 
-    Identical control flow — the same per-row ``(prev, stable)``
-    detector state machine, retiring each config at exactly the
-    iteration the unsharded executor would, with the same active-set
-    extraction — but the per-iteration work is reorganised into the
-    fused tile passes described at the top of this section, and each
-    segment's local dt is cached across iterations (it is
-    loop-invariant; the cache is row-sliced on extraction).
+    Every body op commutes with adding a constant to all clocks: compute
+    and elapse add fixed per-rank amounts, and barrier / allreduce /
+    halo-exchange are max-plus operations, so shifting a row's whole
+    clock vector by ``c`` shifts their result by ``c``.  Hence a
+    *uniform* per-iteration clock increment is a proof of stationarity —
+    the next iteration is the previous one translated in time, forever.
+    A stable but **non-uniform** increment proves nothing: in a
+    halo-exchange ring the slowest module's delay wavefront moves one hop
+    per superstep, and ranks it has not yet reached advance at their own
+    (transient) pace for up to the graph diameter before snapping to the
+    global rate.  A row is therefore fast-forwarded only on a uniform,
+    repeated increment (:data:`_FF_STABLE_ITERS`), and iterates plainly
+    otherwise.  A barrier/allreduce body equalises all clocks each
+    iteration, so its increment is uniform from the second pass; a
+    halo-exchange body gets there once the wavefront has covered the
+    graph (at most the torus diameter, usually far fewer iterations
+    because near-slowest modules are dense at fleet scale).
+
+    The timing invariant that makes a multi-row plane bit-identical to
+    one-row runs: a config must be fast-forwarded at exactly the
+    iteration its one-row run would be, because ``c + k·d`` and
+    ``(c + d) + (k−1)·d`` differ in the last ulp.  The per-row
+    ``(prev, stable)`` detector state therefore survives the active-set
+    shrink — retired configs leave the batch, the rest carry their
+    streak across the extraction.  Every machine op is row-independent,
+    so executing the surviving subset alone reproduces exactly what the
+    full batch would have computed for those rows.  Each segment's local
+    dt is cached across iterations (it is loop-invariant; the cache is
+    row-sliced on extraction).
     """
     segs = _shard_segments(loop.body)
     tail_ops: tuple = ()
@@ -837,9 +586,9 @@ def _exec_loop_sharded(ex: _ShardedExec, loop: VLoop) -> None:
     have_prev = False
     stable = np.zeros(shape[0], dtype=np.int64)
     while remaining > 0:
-        # Mirrors _exec_loop_batched's post-decrement `remaining <
-        # _MIN_FF_REMAINING: continue`: iterations that skip the
-        # detector also skip the snapshot and delta.
+        # Fast-forwarding needs at least _MIN_FF_REMAINING iterations
+        # left after this one; iterations that cannot use the detector
+        # skip the snapshot and delta too.
         detect = remaining - 1 >= _MIN_FF_REMAINING
         pend: tuple | None = None
         snap = before if detect else None
@@ -884,7 +633,7 @@ def _exec_loop_sharded(ex: _ShardedExec, loop: VLoop) -> None:
 
             def ff_visit(t: int, a: int, b: int) -> None:
                 m.fast_forward_rows_cols(
-                    a, b, retire, delta, repeats, ex.diff_scr[t], whole
+                    a, b, retire, delta, repeats, ex.scratch(t)[1], whole
                 )
 
             ex.foreach(ff_visit)
@@ -919,9 +668,10 @@ def _exec_loop_sharded(ex: _ShardedExec, loop: VLoop) -> None:
 
 
 def _exec_ops_sharded(ex: _ShardedExec, ops: Sequence[_VOp]) -> None:
-    """Top-level sharded op walk (fusion boundaries identical to
-    :func:`_exec_ops_batched`).  Top-level sequences are a handful of
-    ops, so only loop bodies get the cross-segment pass fusion."""
+    """Execute an op sequence tile pass by tile pass, fusing each
+    sync-free run into one local-time advance.  Top-level sequences are
+    a handful of ops, so only loop bodies get the cross-segment pass
+    fusion."""
     for locs, sync in _shard_segments(ops):
         dts = _dt_tiles(ex, locs)
         if isinstance(sync, (VBarrier, VAllreduce)):
@@ -939,11 +689,9 @@ def _exec_ops_sharded(ex: _ShardedExec, ops: Sequence[_VOp]) -> None:
             _fused_pass(ex, dt=dts)
 
 
-def _resolve_shard_plan(shard, shape: tuple[int, int]) -> ShardPlan | None:
-    """Normalise :func:`run_fast_batched`'s ``shard`` argument
-    (``None`` stays ``None``: the unsharded path)."""
-    if shard is None:
-        return None
+def _resolve_shard_plan(shard, shape: tuple[int, int]) -> ShardPlan:
+    """Normalise :func:`run_fast_batched`'s non-``None`` ``shard``
+    argument to a concrete plan for a plane of ``shape``."""
     if isinstance(shard, ShardPlan):
         if (shard.n_configs, shard.n_ranks) != shape:
             raise ConfigurationError(
@@ -951,12 +699,7 @@ def _resolve_shard_plan(shard, shape: tuple[int, int]) -> ShardPlan | None:
                 f"rates have shape {shape}"
             )
         return shard
-    if isinstance(shard, str):
-        if shard != "auto":
-            raise ConfigurationError(
-                f"shard must be None, 'auto', a ShardSpec, or a ShardPlan; "
-                f"got {shard!r}"
-            )
+    if isinstance(shard, str) and shard == "auto":
         shard = ShardSpec()
     if isinstance(shard, ShardSpec):
         return shard.plan(shape[0], shape[1])
@@ -966,10 +709,37 @@ def _resolve_shard_plan(shard, shape: tuple[int, int]) -> ShardPlan | None:
     )
 
 
-def _resolve_shard_mode(shard) -> str:
-    """The execution mode a ``shard`` argument asks for (specs carry it;
-    plans, ``"auto"`` and ``None`` mean the in-process thread executor)."""
-    return shard.mode if isinstance(shard, ShardSpec) else "threads"
+def _plane(program: BspProgram, rates: np.ndarray) -> np.ndarray:
+    """``rates`` as a float ``(n_configs, program.n_ranks)`` plane."""
+    r = np.asarray(rates, dtype=float)
+    if r.ndim != 2 or r.shape[1] != program.n_ranks:
+        raise ConfigurationError(
+            f"rates shape {r.shape} != (n_configs, {program.n_ranks})"
+        )
+    return r
+
+
+def _run_whole_plane(
+    program: BspProgram,
+    rates: np.ndarray,
+    latency_s: float,
+    bandwidth_gbps: float,
+    observer=None,
+) -> list[RankTrace]:
+    """The unsharded run: the whole plane as one tile, inline, with an
+    optional sync ``observer`` on the machine."""
+    r = _plane(program, rates)
+    machine = BatchedBspMachine(
+        r, latency_s=latency_s, bandwidth_gbps=bandwidth_gbps
+    )
+    machine.observer = observer
+    with telemetry.span(
+        "sim.run_fast_batched", configs=int(r.shape[0]), ranks=program.n_ranks
+    ):
+        _exec_ops_sharded(
+            _ShardedExec(machine, ((0, program.n_ranks),)), program.ops
+        )
+    return machine.traces()
 
 
 def run_fast_sharded(
@@ -983,12 +753,12 @@ def run_fast_sharded(
 ) -> list[RankTrace]:
     """Execute :func:`run_fast_batched`'s contract on a tiled plan.
 
-    Row blocks run sequentially through the column-tiled executor (or
-    plain :func:`_exec_ops_batched` when the plan has a single column
-    tile); column tiles within a pass run on a thread pool when the plan
-    asks for more than one worker.  Results are bit-identical to the
-    unsharded path — ARCHITECTURE.md invariant 8.  ``plan=None``
-    auto-tunes via :func:`~repro.simmpi.sharding.plan_shards`.
+    Row blocks run sequentially through the column-tiled executor;
+    column tiles within a pass run on a thread pool when the plan has
+    more than one tile and asks for more than one worker.  Results are
+    bit-identical to the unsharded path — ARCHITECTURE.md invariant 8.
+    ``plan=None`` auto-tunes via
+    :func:`~repro.simmpi.sharding.plan_shards`.
 
     ``mode="processes"`` hands the same plan to the cross-process
     executor (:func:`repro.simmpi.procshard.run_fast_procshard`): row
@@ -1000,11 +770,7 @@ def run_fast_sharded(
         raise ConfigurationError(
             f"shard mode must be one of {SHARD_MODES}; got {mode!r}"
         )
-    r = np.asarray(rates, dtype=float)
-    if r.ndim != 2 or r.shape[1] != program.n_ranks:
-        raise ConfigurationError(
-            f"rates shape {r.shape} != (n_configs, {program.n_ranks})"
-        )
+    r = _plane(program, rates)
     if plan is None:
         plan = plan_shards(r.shape[0], r.shape[1])
     elif (plan.n_configs, plan.n_ranks) != r.shape:
@@ -1042,12 +808,9 @@ def run_fast_sharded(
                 machine = BatchedBspMachine(
                     r[r0:r1], latency_s=latency_s, bandwidth_gbps=bandwidth_gbps
                 )
-                if plan.n_col_shards == 1:
-                    _exec_ops_batched(machine, program.ops)
-                else:
-                    _exec_ops_sharded(
-                        _ShardedExec(machine, tiles, pool, busy), program.ops
-                    )
+                _exec_ops_sharded(
+                    _ShardedExec(machine, tiles, pool, busy), program.ops
+                )
                 traces.extend(machine.traces())
         finally:
             if pool is not None:
@@ -1076,42 +839,35 @@ def run_fast_batched(
     shard: ShardPlan | ShardSpec | str | None = None,
 ) -> list[RankTrace]:
     """Execute one :class:`BspProgram` for many rate configurations at
-    once on the 2-D vectorised path.
+    once on the vectorised path.
 
     ``rates`` has shape ``(n_configs, n_ranks)``; the result is one
     :class:`RankTrace` per config, bit-identical to ``n_configs``
-    separate :func:`run_fast` calls at the corresponding rate rows.
+    separate one-row runs at the corresponding rate rows.
 
     ``shard`` selects the execution layout — never the results:
-    ``None`` runs the whole plane unsharded, ``"auto"`` (or a
+    ``None`` runs the whole plane as one tile, inline; ``"auto"`` (or a
     :class:`~repro.simmpi.sharding.ShardSpec`) tiles it to the
     working-set budget via :func:`~repro.simmpi.sharding.plan_shards`,
     and an explicit :class:`~repro.simmpi.sharding.ShardPlan` is used
     as given.  A spec's ``mode`` additionally picks the executor
-    (threads in-process vs the worker-process pool).  Plans that
-    degenerate to one whole-plane tile fall through to the unsharded
-    executor.
+    (threads in-process vs the worker-process pool).  A plan that is a
+    single whole-plane tile runs inline like ``None`` in either mode:
+    a worker pool could only add the plane export and dispatch.
     """
-    r = np.asarray(rates, dtype=float)
-    if r.ndim != 2 or r.shape[1] != program.n_ranks:
-        raise ConfigurationError(
-            f"rates shape {r.shape} != (n_configs, {program.n_ranks})"
-        )
+    if shard is None:
+        return _run_whole_plane(program, rates, latency_s, bandwidth_gbps)
+    r = _plane(program, rates)
     plan = _resolve_shard_plan(shard, r.shape)
-    if plan is not None and not plan.is_unsharded:
-        return run_fast_sharded(
-            program, r,
-            latency_s=latency_s, bandwidth_gbps=bandwidth_gbps, plan=plan,
-            mode=_resolve_shard_mode(shard),
-        )
-    machine = BatchedBspMachine(
-        r, latency_s=latency_s, bandwidth_gbps=bandwidth_gbps
+    if plan.n_col_shards == plan.n_row_blocks == 1:
+        return _run_whole_plane(program, r, latency_s, bandwidth_gbps)
+    # Specs carry a mode; plans and "auto" mean the thread executor.
+    mode = shard.mode if isinstance(shard, ShardSpec) else "threads"
+    return run_fast_sharded(
+        program, r,
+        latency_s=latency_s, bandwidth_gbps=bandwidth_gbps,
+        plan=plan, mode=mode,
     )
-    with telemetry.span(
-        "sim.run_fast_batched", configs=int(r.shape[0]), ranks=program.n_ranks
-    ):
-        _exec_ops_batched(machine, program.ops)
-    return machine.traces()
 
 
 # -- lowering to the event-driven machine --------------------------------------
@@ -1303,9 +1059,11 @@ def simulate_app(
     """Simulate an application, automatically picking the fastest exact path.
 
     BSP-expressible communication runs as whole-fleet array operations
-    (:func:`run_fast`); anything else falls back to the event-driven
-    machine.  This is the entry point :mod:`repro.core.runner` uses for
-    every managed (deterministic) execution.
+    on a one-row plane (the unsharded :func:`run_fast_batched` path),
+    recording a ``"fastpath"`` phase timeline when telemetry is on;
+    anything else falls back to the event-driven machine.  This is the
+    entry point :mod:`repro.core.runner` uses for every managed
+    (deterministic) execution.
     """
     rates = np.asarray(rates_ghz, dtype=float)
     iters = int(app.default_iters if n_iters is None else n_iters)
@@ -1315,9 +1073,10 @@ def simulate_app(
     if is_bsp_expressible(app):
         telemetry.count("sim.route.fast")
         program = bsp_app_program(app, n_ranks or 1, fmax_ghz, iters, work_imbalance)
-        return run_fast(
-            program, rates, latency_s=latency_s, bandwidth_gbps=bandwidth_gbps
-        )
+        return _run_whole_plane(
+            program, rates[None, ...], latency_s, bandwidth_gbps,
+            observer=telemetry.timeline("fastpath"),
+        )[0]
     telemetry.count("sim.route.event")
     machine = EventDrivenMachine(
         rates, latency_s=latency_s, bandwidth_gbps=bandwidth_gbps
@@ -1354,7 +1113,7 @@ def simulate_app_batched(
 
     ``shard`` is forwarded to :func:`run_fast_batched` (execution
     layout only — results are bit-identical either way); the per-config
-    fallback ignores it, as 1-D runs have nothing to tile.
+    event-driven fallback ignores it, as it has nothing to tile.
     """
     rates = np.asarray(rates_ghz, dtype=float)
     if rates.ndim != 2:

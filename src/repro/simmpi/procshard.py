@@ -425,12 +425,12 @@ def _run_block(
 
     This is byte-for-byte the per-row-block body of
     ``run_fast_sharded``: a machine over the block's rates rows, the
-    fused tile passes over the plan's column tiles (or the plain batched
-    walk for a single tile), then the four accumulators written into the
-    output planes.  The handle may be a node-local segment of a split
-    plane, so global rows are translated by ``handle.row0`` before
-    indexing.  Returns ``(r0, r1, wall_s, pid, cpu)`` for the parent's
-    backdated telemetry spans and placement gauges.
+    fused tile passes over the plan's column tiles, then the four
+    accumulators written into the output planes.  The handle may be a
+    node-local segment of a split plane, so global rows are translated
+    by ``handle.row0`` before indexing.  Returns ``(r0, r1, wall_s, pid,
+    cpu)`` for the parent's backdated telemetry spans and placement
+    gauges.
     """
     fault = os.environ.get(_FAULT_ENV)
     if fault == "kill":
@@ -448,16 +448,10 @@ def _run_block(
     tiles = tuple(
         (col_bounds[i], col_bounds[i + 1]) for i in range(len(col_bounds) - 1)
     )
-    if len(tiles) == 1:
-        fastpath._exec_ops_batched(machine, program.ops)
-    else:
-        busy = [0.0] * len(tiles)
-        fastpath._exec_ops_sharded(
-            fastpath._ShardedExec(
-                machine, tiles, _worker_thread_pool(threads), busy
-            ),
-            program.ops,
-        )
+    fastpath._exec_ops_sharded(
+        fastpath._ShardedExec(machine, tiles, _worker_thread_pool(threads)),
+        program.ops,
+    )
     outs["clock"][lr0:lr1] = machine.clock_s
     outs["compute"][lr0:lr1] = machine._compute_s
     outs["wait"][lr0:lr1] = machine._wait_s

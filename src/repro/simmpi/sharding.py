@@ -146,12 +146,6 @@ class ShardPlan:
         """Row blocks covering the config axis."""
         return -(-self.n_configs // self.row_block)
 
-    @property
-    def is_unsharded(self) -> bool:
-        """Whether the plan is the whole plane in one piece — the
-        executor routes such plans straight to the unsharded path."""
-        return self.n_col_shards == 1 and self.row_block >= self.n_configs
-
     def col_tiles(self) -> tuple[tuple[int, int], ...]:
         """``(start, stop)`` column ranges, left to right."""
         b = self.col_bounds

@@ -6,7 +6,7 @@ import pytest
 from repro.apps.base import AppModel, CommSpec
 from repro.apps.registry import APPS, get_app, list_apps
 from repro.cluster.configs import build_system
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.hardware.power_model import PowerSignature
 
 FMAX = 2.7
@@ -73,6 +73,17 @@ class TestValidation:
 
 
 class TestRun:
+    def test_stochastic_run_validation(self):
+        app, rates = get_app("mhd"), np.full(8, FMAX)
+        with pytest.raises(SimulationError):
+            app.run(rates, FMAX, n_iters=2, noise_frac=-0.1,
+                    noise_rng=np.random.default_rng(0))
+        with pytest.raises(SimulationError):
+            app.run(rates, FMAX, n_iters=2, noise_frac=0.01)
+        with pytest.raises(SimulationError):
+            app.run(np.full((2, 4), FMAX), FMAX, n_iters=2, noise_frac=0.01,
+                    noise_rng=np.random.default_rng(0))
+
     def test_nominal_runtime_matches_iter_seconds(self):
         app = get_app("dgemm")
         trace = app.run(np.full(4, FMAX), FMAX, n_iters=5)

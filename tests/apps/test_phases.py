@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps.base import CommSpec
 from repro.apps.phases import GMRES_LIKE, AppPhase, PhasedApp
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.hardware.power_model import PowerSignature
 
 FMAX = 2.7
@@ -92,6 +92,12 @@ class TestRun:
     def test_rate_shape_checked(self):
         with pytest.raises(ConfigurationError):
             GMRES_LIKE.run(np.full((1, 4), 2.0), FMAX, n_iters=2)
+
+    def test_every_phase_rate_validated(self):
+        rates = np.full((3, 4), 2.0)
+        rates[2, 1] = 0.0  # only the last phase's rates are bad
+        with pytest.raises(SimulationError):
+            GMRES_LIKE.run(rates, FMAX, n_iters=2)
 
     def test_allreduce_synchronises(self):
         rates = np.tile(np.array([[1.5, 2.5]]), (3, 1))

@@ -90,7 +90,7 @@ class TestTelemetryIsPureObservation:
         names = {s.name for s in c.spans}
         assert {"engine.execute", "run.budgeted", "run.plan", "run.actuate",
                 "run.simulate", "scheme.allocate", "scheme.build_pmt",
-                "solve_alpha", "sim.run_fast"} <= names
+                "solve_alpha", "sim.run_fast_batched"} <= names
         assert c.metrics.counter("run.budgeted").value == 1
         assert c.metrics.counter("sim.route.fast").value == 1
         assert c.metrics.counter("engine.exec").value == 1

@@ -25,7 +25,7 @@ from repro.service.api import (
     ServiceError,
 )
 from repro.service.client import ServiceClient
-from repro.service.daemon import BackgroundServer
+from repro.service.daemon import MAX_REQUEST_BYTES, BackgroundServer
 from repro.service.loadgen import run_load
 
 N = 64
@@ -97,6 +97,42 @@ class TestRequestReply:
         assert reply["ok"] is False
         assert reply["error"]["code"] == "unknown-version"
         assert reply["schema_version"] == SCHEMA_VERSION
+
+
+class TestOversizeRequest:
+    def send_oversize_line(self, sock) -> dict:
+        line = b'{"op": "ping", "pad": "' + b"x" * MAX_REQUEST_BYTES + b'"}\n'
+        try:
+            sock.sendall(line)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the daemon replied and closed before taking it all
+        f = sock.makefile("rb")
+        reply = json.loads(f.readline())
+        assert f.readline() == b""  # then a clean close
+        return reply
+
+    def test_oversize_line_gets_typed_reply_and_daemon_keeps_serving(
+        self, server
+    ):
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
+            s.connect(server.address)
+            reply = self.send_oversize_line(s)
+        assert reply["ok"] is False
+        assert reply["error"]["code"] == "request-too-large"
+        assert not reply["error"]["retryable"]
+        with ServiceClient(server.address) as client:
+            assert client.ping().message == "ok"
+
+    def test_oversize_line_over_tcp(self):
+        with BackgroundServer(port=0) as server:
+            port = server.daemon.port
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+                reply = self.send_oversize_line(s)
+            assert reply["error"]["code"] == "request-too-large"
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+                s.sendall(b'{"schema_version": %d, "op": "ping", "payload": {}}\n'
+                          % SCHEMA_VERSION)
+                assert json.loads(s.makefile("rb").readline())["ok"] is True
 
 
 class TestBackpressure:
@@ -246,3 +282,23 @@ class TestHttpAdapter:
             )
             assert status == 404
             assert reply["error"]["code"] == "unknown-op"
+
+    def test_oversize_content_length_is_413(self):
+        with BackgroundServer(http_port=0) as server:
+            port = server.daemon.http_port
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+                # Only the head is sent: the daemon must answer from the
+                # declared length, without waiting for the body.
+                s.sendall(
+                    b"POST /v1/ping HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: %d\r\n\r\n" % (MAX_REQUEST_BYTES + 1)
+                )
+                resp = http.client.HTTPResponse(s)
+                resp.begin()
+                status, reply = resp.status, json.loads(resp.read())
+            assert status == 413
+            assert reply["error"]["code"] == "request-too-large"
+            status, reply = self.post(
+                port, "/v1/ping", {"schema_version": SCHEMA_VERSION, "payload": {}}
+            )
+            assert status == 200 and reply["ok"]

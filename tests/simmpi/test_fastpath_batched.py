@@ -1,13 +1,13 @@
-"""Differential proof: the 2-D config-batched executor vs per-config 1-D.
+"""Differential proof: a many-row plane vs per-config one-row runs.
 
 :func:`~repro.simmpi.fastpath.run_fast_batched` executes one
 :class:`BspProgram` for many rate vectors at once on a
 ``(n_configs, n_ranks)`` machine.  The contract is *bit-identity* with
-running each config through :func:`run_fast` separately: the batched
-machine performs the same elementwise IEEE-754 operations per row —
-including the sync-free fusion and the per-row steady-state
-fast-forward, which must retire each config at exactly the iteration the
-1-D detector would (``c + k*d`` is not bitwise ``(c+d) + (k-1)*d``).
+running each config separately as a one-row plane: the machine performs
+the same elementwise IEEE-754 operations per row — including the
+sync-free fusion and the per-row steady-state fast-forward, which must
+retire each config at exactly the iteration its one-row run would
+(``c + k*d`` is not bitwise ``(c+d) + (k-1)*d``).
 
 Random programs reuse the generators of
 ``tests/simmpi/test_fastpath_differential.py``; partial-retirement cases
@@ -27,13 +27,18 @@ from repro.simmpi.fastpath import (
     VCompute,
     VLoop,
     VSendrecv,
-    run_fast,
+    run_event,
     run_fast_batched,
     simulate_app,
     simulate_app_batched,
 )
 
-from tests.simmpi.test_fastpath_differential import app_cases, program_cases
+from tests.simmpi.test_fastpath_differential import (
+    app_cases,
+    assert_traces_equivalent,
+    program_cases,
+    run_one_row,
+)
 
 TRACE_FIELDS = ("total_s", "compute_s", "wait_s", "comm_s")
 
@@ -76,7 +81,7 @@ class TestRandomBatchedEquivalence:
             program, rates2d, latency_s=latency, bandwidth_gbps=bandwidth
         )
         for c in range(rates2d.shape[0]):
-            ref = run_fast(
+            ref = run_one_row(
                 program, rates2d[c], latency_s=latency, bandwidth_gbps=bandwidth
             )
             assert_traces_bit_identical(batched[c], ref, f"config {c}: ")
@@ -90,7 +95,7 @@ class TestRandomBatchedEquivalence:
             program, rates2d, latency_s=latency, bandwidth_gbps=bandwidth
         )
         for c in range(rates2d.shape[0]):
-            ref = run_fast(
+            ref = run_one_row(
                 program, rates2d[c], latency_s=latency, bandwidth_gbps=bandwidth
             )
             assert_traces_bit_identical(batched[c], ref, f"config {c}: ")
@@ -99,7 +104,7 @@ class TestRandomBatchedEquivalence:
 class TestPartialRetirement:
     def test_mixed_steady_and_noisy_rows(self):
         """Steady rows retire mid-loop while ragged rows run to the end;
-        every row must still match its own 1-D execution exactly."""
+        every row must still match its own one-row execution exactly."""
         n = 6
         nb = np.stack([(np.arange(n) - 1) % n, (np.arange(n) + 1) % n], axis=1)
         program = BspProgram(
@@ -122,15 +127,19 @@ class TestPartialRetirement:
         )
         batched = run_fast_batched(program, rates2d, latency_s=0.0)
         for c in range(4):
-            ref = run_fast(program, rates2d[c], latency_s=0.0)
+            ref = run_one_row(program, rates2d[c], latency_s=0.0)
             assert_traces_bit_identical(batched[c], ref, f"row {c}: ")
 
     def test_single_config_batch_degenerates_to_1d(self):
+        """A one-row plane is the single-run path: it matches the 1-D
+        event-driven reference, and the same row inside a larger batch
+        bit for bit."""
         program = BspProgram(4, (VLoop((VCompute(0.5), VAllreduce(8.0)), 12),))
         rates = np.array([[1.0, 1.5, 2.0, 2.5]])
-        batched = run_fast_batched(program, rates)
-        ref = run_fast(program, rates[0])
-        assert_traces_bit_identical(batched[0], ref)
+        single = run_fast_batched(program, rates)[0]
+        assert_traces_equivalent(single, run_event(program, rates[0]))
+        batch = run_fast_batched(program, np.vstack([rates, rates[:, ::-1]]))
+        assert_traces_bit_identical(batch[0], single)
 
 
 class TestAppDispatch:

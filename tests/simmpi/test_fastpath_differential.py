@@ -1,8 +1,9 @@
 """Differential equivalence: the vectorised fast path vs the event machine.
 
 Every :class:`~repro.simmpi.fastpath.BspProgram` can be executed two
-ways — as whole-fleet array operations (:func:`run_fast`, with op fusion
-and steady-state fast-forwarding) or lowered to per-rank generators on
+ways — as whole-fleet array operations (a one-row
+:func:`run_fast_batched` plane, with op fusion and steady-state
+fast-forwarding) or lowered to per-rank generators on
 the event-driven machine (:func:`run_event`, no shortcuts, true
 point-to-point matching).  These tests generate random programs with
 hypothesis — mixes of compute/elapse/barrier/allreduce/sendrecv, with
@@ -40,7 +41,7 @@ from repro.simmpi.fastpath import (
     VSendrecv,
     event_app_program,
     run_event,
-    run_fast,
+    run_fast_batched,
     simulate_app,
 )
 
@@ -49,6 +50,11 @@ RTOL = 1e-9
 #: Absolute slack for identically-zero fields (e.g. wait_s of a
 #: communication-free program) where relative error is undefined.
 ATOL = 1e-12
+
+
+def run_one_row(program, rates, **kw):
+    """The fast path for a single rate vector: a one-row plane."""
+    return run_fast_batched(program, np.asarray(rates)[None, :], **kw)[0]
 
 
 def assert_traces_equivalent(fast, ref):
@@ -137,7 +143,7 @@ class TestRandomProgramEquivalence:
     @given(case=program_cases())
     def test_mixed_programs(self, case):
         program, rates, latency, bandwidth = case
-        fast = run_fast(program, rates, latency_s=latency, bandwidth_gbps=bandwidth)
+        fast = run_one_row(program, rates, latency_s=latency, bandwidth_gbps=bandwidth)
         ref = run_event(program, rates, latency_s=latency, bandwidth_gbps=bandwidth)
         assert_traces_equivalent(fast, ref)
 
@@ -146,7 +152,7 @@ class TestRandomProgramEquivalence:
     def test_sendrecv_programs(self, case):
         """Halo-exchange loops — the fast-forward path's hardest case."""
         program, rates, latency, bandwidth = case
-        fast = run_fast(program, rates, latency_s=latency, bandwidth_gbps=bandwidth)
+        fast = run_one_row(program, rates, latency_s=latency, bandwidth_gbps=bandwidth)
         ref = run_event(program, rates, latency_s=latency, bandwidth_gbps=bandwidth)
         assert_traces_equivalent(fast, ref)
 
@@ -216,8 +222,8 @@ class TestFastForwardExactness:
         split = BspProgram(
             n, (VLoop(body, iters - 1), *body)
         )
-        a = run_fast(whole, rates)
-        b = run_fast(split, rates)
+        a = run_one_row(whole, rates)
+        b = run_one_row(split, rates)
         for name in TRACE_FIELDS:
             np.testing.assert_allclose(
                 getattr(a, name), getattr(b, name), rtol=RTOL, atol=ATOL
@@ -231,7 +237,7 @@ class TestFastForwardExactness:
         program = BspProgram(
             n, (VLoop((VCompute(rng.uniform(0.2, 0.8, n)), VSendrecv(nb, 0.0)), iters),)
         )
-        fast = run_fast(program, rates, latency_s=0.0)
+        fast = run_one_row(program, rates, latency_s=0.0)
         ref = run_event(program, rates, latency_s=0.0)
         assert_traces_equivalent(fast, ref)
 
@@ -255,7 +261,7 @@ class TestFastForwardExactness:
             ),
         )
         rates = np.ones(n)
-        fast = run_fast(program, rates, latency_s=0.0)
+        fast = run_one_row(program, rates, latency_s=0.0)
         ref = run_event(program, rates, latency_s=0.0)
         assert_traces_equivalent(fast, ref)
         np.testing.assert_allclose(

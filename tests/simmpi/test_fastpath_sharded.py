@@ -186,7 +186,7 @@ class TestShardKnobRouting:
         want = run_fast_batched(program, rates2d, latency_s=0.0)
         monkeypatch.setenv("REPRO_SHARD_TARGET_BYTES", "1024")
         plan = plan_shards(rates2d.shape[0], program.n_ranks)
-        assert not plan.is_unsharded
+        assert plan.n_col_shards > 1
         got = run_fast_batched(program, rates2d, latency_s=0.0, shard="auto")
         assert_all_configs_identical(got, want)
 
@@ -204,6 +204,9 @@ class TestShardKnobRouting:
         plan = plan_shards(rates2d.shape[0], program.n_ranks + 1, shard_ranks=5)
         with pytest.raises(ConfigurationError):
             run_fast_sharded(program, rates2d, plan=plan)
+        one_tile = plan_shards(rates2d.shape[0], program.n_ranks + 1)
+        with pytest.raises(ConfigurationError):
+            run_fast_batched(program, rates2d, shard=one_tile)
 
     @settings(max_examples=20, deadline=None)
     @given(case=app_cases())

@@ -75,7 +75,6 @@ class TestAutoPlanProperties:
         """A plane inside the working-set budget must not shard at all."""
         target = n_configs * n_ranks * BYTES_PER_ELEMENT
         plan = plan_shards(n_configs, n_ranks, target_bytes=target)
-        assert plan.is_unsharded
         assert plan.col_tiles() == ((0, n_ranks),)
         assert plan.row_blocks() == ((0, n_configs),)
 
@@ -89,7 +88,7 @@ class TestAutoPlanProperties:
         """Once sharding engages, every tile fits the element budget
         (unless a single element already exceeds it)."""
         plan = plan_shards(n_configs, n_ranks, target_bytes=target)
-        if plan.is_unsharded:
+        if plan.col_tiles() == ((0, n_ranks),):
             return
         budget_elems = max(1, target // BYTES_PER_ELEMENT)
         for a, b in plan.col_tiles():
@@ -152,7 +151,7 @@ class TestEnvOverride:
             "REPRO_SHARD_TARGET_BYTES", str(BYTES_PER_ELEMENT * 10)
         )
         plan = plan_shards(1, 100)
-        assert not plan.is_unsharded
+        assert plan.n_col_shards > 1
         assert_exact_partition(plan)
 
     def test_explicit_target_beats_env(self, monkeypatch):
@@ -160,7 +159,8 @@ class TestEnvOverride:
             "REPRO_SHARD_TARGET_BYTES", str(BYTES_PER_ELEMENT * 10)
         )
         plan = plan_shards(1, 100, target_bytes=DEFAULT_TARGET_BYTES)
-        assert plan.is_unsharded
+        assert plan.col_tiles() == ((0, 100),)
+        assert plan.row_blocks() == ((0, 1),)
 
     def test_bad_env_value_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARD_TARGET_BYTES", "lots")
