@@ -38,7 +38,6 @@ trace shows the cache traffic itself.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import traceback
 from collections.abc import Callable
@@ -110,8 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         help="experiment name, 'list' to enumerate, 'schemes' to show the "
         "power-allocation scheme registry, 'all' to run everything, "
-        "'trace' to render telemetry, 'topo' to print the probed "
-        "CPU/NUMA topology, or 'stats' to run an experiment "
+        "'trace' to render telemetry, or 'stats' to run an experiment "
         "and report batching/amortisation counters (see 'target')",
     )
     parser.add_argument(
@@ -168,23 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="thread-pool workers executing shards (default: one per "
         "CPU core, capped at the shard count)",
-    )
-    parser.add_argument(
-        "--shard-mode",
-        choices=engine_mod.SHARD_MODES,
-        default=None,
-        help="sharded-executor backend: 'threads' tiles in-process "
-        "(default), 'processes' spreads row blocks over a worker-process "
-        "pool via shared memory — execution layout only, results are "
-        "bit-identical either way",
-    )
-    parser.add_argument(
-        "--pin",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="pin pool workers to CPU slices from the process-wide core "
-        "budget (default: auto — pin whenever the platform supports "
-        "affinity; placement only, results are bit-identical either way)",
     )
     parser.add_argument(
         "--stats",
@@ -288,39 +269,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_engine(args: argparse.Namespace):
-    """Install the process-global engine from the parsed flags.
-
-    An explicit ``--pin``/``--no-pin`` is also exported as
-    ``REPRO_PROCSHARD_PIN`` so the process-sharded simulation executor
-    (which resolves its own pinning default) follows the same choice.
-    """
-    if args.pin is not None:
-        os.environ[engine_mod.PROCSHARD_PIN_ENV] = "1" if args.pin else "0"
+    """Install the process-global engine from the parsed flags."""
     return engine_mod.configure(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         batch=args.batch,
         shard=_shard_arg(args),
-        pin=args.pin,
     )
 
 
 def _shard_arg(args: argparse.Namespace):
     """The engine ``shard`` value for the parsed flags: ``"auto"`` when
     no knob was given, else a pinned ShardSpec (auto geometry unless
-    ``--shard-ranks``/``--shard-workers`` pin it; ``--shard-mode``
-    picks the thread vs worker-process executor)."""
-    if (
-        args.shard_ranks is None
-        and args.shard_workers is None
-        and args.shard_mode is None
-    ):
+    ``--shard-ranks``/``--shard-workers`` pin it)."""
+    if args.shard_ranks is None and args.shard_workers is None:
         return "auto"
     return engine_mod.ShardSpec(
-        shard_ranks=args.shard_ranks,
-        shard_workers=args.shard_workers,
-        mode=args.shard_mode or "threads",
+        shard_ranks=args.shard_ranks, shard_workers=args.shard_workers
     )
 
 
@@ -575,57 +541,6 @@ def _run_point(args: argparse.Namespace, name: str) -> int:
     return 0
 
 
-def _format_cpulist(cpus: tuple[int, ...]) -> str:
-    """Compact kernel-style cpulist (``"0-3,8"``) for a sorted tuple."""
-    parts: list[str] = []
-    i = 0
-    while i < len(cpus):
-        j = i
-        while j + 1 < len(cpus) and cpus[j + 1] == cpus[j] + 1:
-            j += 1
-        parts.append(str(cpus[i]) if i == j else f"{cpus[i]}-{cpus[j]}")
-        i = j + 1
-    return ",".join(parts)
-
-
-def _run_topo() -> int:
-    """``repro topo``: print the probed CPU/NUMA topology and the
-    process-wide core budget the pools draw on."""
-    from repro.util.topology import cpu_budget, effective_cpu_count
-
-    budget = cpu_budget()
-    topo = budget.topology
-    rows = [
-        [f"node{n.node_id}", n.n_cpus, _format_cpulist(n.cpus)]
-        for n in topo.nodes
-    ]
-    print(
-        render_table(
-            ["Node", "CPUs", "CPU list"],
-            rows,
-            title=f"topology (source: {topo.source})",
-        )
-    )
-    llc = (
-        "unknown"
-        if topo.llc_bytes is None
-        else f"{topo.llc_bytes // 1024} KiB"
-    )
-    try:
-        pin = "on" if engine_mod.procshard_pin_default() else "off"
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(f"effective CPUs  : {effective_cpu_count()}")
-    print(f"last-level cache: {llc}")
-    print(
-        f"core budget     : {budget.total} total, "
-        f"{budget.claimed_cpus} claimed in {budget.n_leases} lease(s)"
-    )
-    print(f"worker pinning  : {pin} (override: {engine_mod.PROCSHARD_PIN_ENV})")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run the CLI; returns a process exit code."""
     args = build_parser().parse_args(argv)
@@ -640,9 +555,6 @@ def main(argv: list[str] | None = None) -> int:
     if name == "schemes":
         print(format_schemes())
         return 0
-
-    if name == "topo":
-        return _run_topo()
 
     if name == "trace":
         return _run_trace(args)

@@ -59,7 +59,7 @@ from repro.exec.shared import (
     fleet_pvt,
 )
 from repro.hardware.microarch import Microarchitecture, get_microarch
-from repro.util.topology import cpu_budget, effective_cpu_count
+from repro.util.cpus import effective_cpu_count
 
 __all__ = [
     "ExperimentEngine",
@@ -169,8 +169,7 @@ def _execute_key(key: RunKey) -> RunResult:
     )
 
 
-#: Fault-injection hook for the worker wrappers, mirroring
-#: ``REPRO_PROCSHARD_FAULT`` in :mod:`repro.simmpi.procshard`: set to
+#: Fault-injection hook for the worker wrappers: set to
 #: ``"kill"`` to SIGKILL a pool worker at task start.  Only fires in
 #: actual pool children (``_pool_run`` also executes inline when
 #: ``jobs == 1``, where dying would kill the caller, not simulate a
@@ -183,27 +182,6 @@ def _maybe_inject_fault() -> None:
     if os.environ.get(_FAULT_ENV) == "kill":
         if multiprocessing.parent_process() is not None:
             os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _pin_worker(pin_q=None) -> None:
-    """Pool-worker initializer: pin to the CPU slice shipped via
-    ``pin_q`` (one slice per worker, claimed from the process-wide
-    :func:`~repro.util.topology.cpu_budget`).  Only CPUs inside the
-    inherited affinity mask are used, and any failure skips pinning —
-    placement may never fail a run."""
-    if pin_q is None:
-        return
-    try:
-        cpus = tuple(pin_q.get(timeout=10.0))
-        allowed = set(os.sched_getaffinity(0))
-    except Exception:  # queue drained / no affinity support
-        return
-    target = set(cpus) & allowed
-    if target:
-        try:
-            os.sched_setaffinity(0, target)
-        except OSError:  # pragma: no cover - mask raced with a cgroup change
-            pass
 
 
 def _pool_run(key: RunKey) -> tuple[str, object, float]:
@@ -301,19 +279,9 @@ class ExperimentEngine:
         Worker processes for :meth:`submit_sweep` / :meth:`map` fan-out;
         ``1`` (the default) executes in-process, sequentially.  ``0`` or
         ``None`` sizes the pool to the *effective* CPU count
-        (:func:`~repro.util.topology.effective_cpu_count` — the
+        (:func:`~repro.util.cpus.effective_cpu_count` — the
         affinity mask, not ``os.cpu_count()``, so ``taskset``/cgroup
         restricted environments are not oversubscribed).
-    pin:
-        Pin pool workers to CPU slices claimed from the process-wide
-        :func:`~repro.util.topology.cpu_budget`.  ``None`` (default)
-        pins whenever the platform supports affinity and the pool is
-        actually parallel; ``False`` disables.  Placement only — results
-        and digests are unaffected (ARCHITECTURE.md invariant 11), but
-        pinning makes composed pools (engine workers × process-sharded
-        simulation × inner tile threads) partition the machine instead
-        of oversubscribing it, because children derive their own worker
-        counts from the shrunken affinity mask they inherit.
     cache_dir:
         Cache directory; ``None`` uses the default
         (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``) when caching is on.
@@ -335,8 +303,7 @@ class ExperimentEngine:
         :func:`~repro.core.runner.run_budgeted_batched`: ``"auto"``
         (the default) tiles the simulation plane when it outgrows the
         cache working-set budget, a
-        :class:`~repro.simmpi.sharding.ShardSpec` pins the tiling (and
-        its ``mode`` picks threads vs worker processes for row blocks),
+        :class:`~repro.simmpi.sharding.ShardSpec` pins the tiling,
         ``None`` forces the unsharded path.  Layout only — results and
         cache digests never depend on it.
     """
@@ -349,12 +316,10 @@ class ExperimentEngine:
         stats: RunStats | None = None,
         batch: bool = True,
         shard="auto",
-        pin: bool | None = None,
     ):
         self.jobs = (
             effective_cpu_count() if not jobs else max(1, int(jobs))
         )
-        self.pin = pin
         if use_cache is None:
             use_cache = cache_dir is not None
         self.cache: ResultCache | None = (
@@ -366,53 +331,17 @@ class ExperimentEngine:
 
     # -- pool construction ---------------------------------------------------
 
-    def _resolve_pin(self, workers: int) -> bool:
-        if not hasattr(os, "sched_setaffinity"):
-            return False
-        if self.pin is not None:
-            return bool(self.pin)
-        return workers > 1
-
     @contextmanager
     def _pool(self, workers: int):
-        """A :class:`ProcessPoolExecutor` drawing on the CPU budget.
-
-        Claims one node-aware CPU slice per worker from the
-        process-wide ledger (released when the pool exits) and records
-        the placement gauges the composition tests audit:
-        ``engine.cpu_budget.total``, ``engine.pool.workers``, and
-        ``engine.pool.cpus_granted`` (distinct CPUs granted — never
-        above the budget total, by construction).
-        """
-        budget = cpu_budget()
-        lease = None
-        init = None
-        initargs: tuple = ()
-        kwargs: dict = {}
-        if self._resolve_pin(workers):
-            lease = budget.claim(workers, label="engine")
-            ctx = multiprocessing.get_context()
-            pin_q = ctx.Queue()
-            for s in lease.slices:
-                pin_q.put(tuple(s))
-            init, initargs = _pin_worker, (pin_q,)
-            kwargs["mp_context"] = ctx
-        telemetry.gauge("engine.cpu_budget.total", budget.total)
+        """A :class:`ProcessPoolExecutor` of ``workers`` processes, shut
+        down when the block exits; records the ``engine.pool.workers``
+        gauge."""
         telemetry.gauge("engine.pool.workers", workers)
-        telemetry.gauge(
-            "engine.pool.cpus_granted",
-            len(lease.cpus) if lease is not None
-            else min(workers, budget.total),
-        )
-        pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=init, initargs=initargs, **kwargs
-        )
+        pool = ProcessPoolExecutor(max_workers=workers)
         try:
             yield pool
         finally:
             pool.shutdown(wait=True)
-            if lease is not None:
-                budget.release(lease)
 
     # -- single runs ---------------------------------------------------------
 
@@ -668,13 +597,12 @@ def configure(
     use_cache: bool | None = None,
     batch: bool = True,
     shard="auto",
-    pin: bool | None = None,
 ) -> ExperimentEngine:
     """Install the process-global engine (called by the CLI front-end)."""
     global _engine
     _engine = ExperimentEngine(
         jobs=jobs, cache_dir=cache_dir, use_cache=use_cache, batch=batch,
-        shard=shard, pin=pin,
+        shard=shard,
     )
     return _engine
 

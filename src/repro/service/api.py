@@ -187,7 +187,16 @@ def _floats(value, name: str) -> tuple[float, ...]:
         out = tuple(float(v) for v in value)
     except (TypeError, ValueError) as exc:
         raise ServiceError("bad-request", f"{name} must be a list of numbers: {exc}")
+    # json.loads accepts NaN/Infinity, which no budget can be.
+    _require(all(map(math.isfinite, out)), f"{name} must be finite")
     return out
+
+
+def _bool(value, name: str) -> bool:
+    """A wire flag: only a JSON boolean, since ``bool("false")`` is True."""
+    if not isinstance(value, bool):
+        raise ServiceError("bad-request", f"{name} must be a JSON boolean")
+    return value
 
 
 def _strs(value, name: str) -> tuple[str, ...]:
@@ -411,7 +420,7 @@ class AllocationRequest:
             scheme=obj.get("scheme", "vafsor"),
             budgets_w=_floats(obj.get("budgets_w", ()), "budgets_w"),
             test_module=obj.get("test_module", 0),
-            noisy=obj.get("noisy", True),
+            noisy=_bool(obj.get("noisy", True), "noisy"),
             fs_guardband_frac=obj.get("fs_guardband_frac", 0.02),
         )
 
@@ -523,7 +532,7 @@ class SweepRequest:
             schemes=tuple(_strs(obj.get("schemes", ["vafsor"]), "schemes")),
             budgets_w=_floats(obj.get("budgets_w", ()), "budgets_w"),
             n_iters=obj.get("n_iters"),
-            noisy=bool(obj.get("noisy", True)),
+            noisy=_bool(obj.get("noisy", True), "noisy"),
             fs_guardband_frac=float(obj.get("fs_guardband_frac", 0.02)),
             test_module=int(obj.get("test_module", 0)),
         )
@@ -876,12 +885,13 @@ def encode_request(op: str, payload) -> bytes:
 def decode_request(line: bytes | str) -> tuple[str, object]:
     """Parse and strictly validate one request line -> (op, typed payload).
 
-    Raises :class:`ServiceError` (never a bare ``json`` or ``KeyError``
-    exception) so the daemon can always answer with a typed reply.
+    Raises :class:`ServiceError` (never a bare ``json``, ``KeyError`` or
+    coercion exception) so the daemon can always answer with a typed
+    reply.
     """
     try:
         obj = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ServiceError("bad-request", f"request is not valid JSON: {exc}")
     if not isinstance(obj, dict):
         raise ServiceError("bad-request", "request must be a JSON object")
@@ -903,7 +913,10 @@ def decode_request(line: bytes | str) -> tuple[str, object]:
     if req_cls is None:
         known = ", ".join(sorted(REQUEST_TYPES))
         raise ServiceError("unknown-op", f"unknown op {op!r}; known ops: {known}")
-    return op, req_cls.from_wire(obj.get("payload", {}))
+    try:
+        return op, req_cls.from_wire(obj.get("payload", {}))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ServiceError("bad-request", f"malformed {op} payload: {exc}")
 
 
 def encode_reply(op: str, result=None, error: ServiceError | None = None) -> bytes:
@@ -924,7 +937,7 @@ def decode_reply(line: bytes | str):
     """
     try:
         obj = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ServiceError("internal", f"reply is not valid JSON: {exc}")
     if not isinstance(obj, dict):
         raise ServiceError("internal", "reply must be a JSON object")
@@ -939,4 +952,7 @@ def decode_reply(line: bytes | str):
     result_cls = RESULT_TYPES.get(obj.get("op"))
     if result_cls is None:
         raise ServiceError("internal", f"reply for unknown op {obj.get('op')!r}")
-    return result_cls.from_wire(obj.get("result") or {})
+    try:
+        return result_cls.from_wire(obj.get("result") or {})
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ServiceError("internal", f"malformed {obj['op']} reply: {exc}")

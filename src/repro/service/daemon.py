@@ -388,7 +388,7 @@ class ServiceDaemon:
         # share one validator (version check included).
         try:
             envelope = json.loads(body or b"{}")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             err = ServiceError("bad-request", f"body is not valid JSON: {exc}")
             return 400, encode_reply(op, error=err)
         if not isinstance(envelope, dict):

@@ -27,7 +27,7 @@ from time import perf_counter
 
 from repro.service.api import AllocationRequest, FleetSpec, ServiceError
 from repro.service.client import ServiceClient
-from repro.util.topology import effective_cpu_count
+from repro.util.cpus import effective_cpu_count
 
 __all__ = ["LoadReport", "run_load", "main"]
 

@@ -21,8 +21,7 @@ superstep suffices.  This module provides that fast path:
   iteration k+1 repeats iteration k exactly; a halo exchange reaches the
   same steady state once the slowest module's wavefront has propagated
   around the torus).  :func:`run_fast_batched` is the entry point;
-  :func:`run_fast_sharded` takes an explicit plan and thread/process
-  mode;
+  :func:`run_fast_sharded` takes an explicit plan;
 * :func:`run_event` / :func:`to_event_program` — lowers the same program
   to per-rank generators on the :class:`EventDrivenMachine`, the
   independent reference the differential suite
@@ -73,7 +72,7 @@ from repro.simmpi.eventsim import (
     Send,
 )
 from repro.simmpi.machine import BatchedBspMachine
-from repro.simmpi.sharding import SHARD_MODES, ShardPlan, ShardSpec, plan_shards
+from repro.simmpi.sharding import ShardPlan, ShardSpec, plan_shards
 from repro.simmpi.tracing import RankTrace
 
 __all__ = [
@@ -749,7 +748,6 @@ def run_fast_sharded(
     latency_s: float = 5e-6,
     bandwidth_gbps: float = 5.0,
     plan: ShardPlan | None = None,
-    mode: str = "threads",
 ) -> list[RankTrace]:
     """Execute :func:`run_fast_batched`'s contract on a tiled plan.
 
@@ -759,17 +757,7 @@ def run_fast_sharded(
     bit-identical to the unsharded path — ARCHITECTURE.md invariant 8.
     ``plan=None`` auto-tunes via
     :func:`~repro.simmpi.sharding.plan_shards`.
-
-    ``mode="processes"`` hands the same plan to the cross-process
-    executor (:func:`repro.simmpi.procshard.run_fast_procshard`): row
-    blocks run on a persistent worker-process pool over a shared-memory
-    plane, bit-identical again (invariant 9) and falling back to this
-    thread path on any worker failure.
     """
-    if mode not in SHARD_MODES:
-        raise ConfigurationError(
-            f"shard mode must be one of {SHARD_MODES}; got {mode!r}"
-        )
     r = _plane(program, rates)
     if plan is None:
         plan = plan_shards(r.shape[0], r.shape[1])
@@ -777,13 +765,6 @@ def run_fast_sharded(
         raise ConfigurationError(
             f"plan is for a {(plan.n_configs, plan.n_ranks)} plane; "
             f"rates have shape {r.shape}"
-        )
-    if mode == "processes":
-        from repro.simmpi import procshard
-
-        return procshard.run_fast_procshard(
-            program, r,
-            latency_s=latency_s, bandwidth_gbps=bandwidth_gbps, plan=plan,
         )
     tiles = plan.col_tiles()
     busy = [0.0] * len(tiles)
@@ -850,10 +831,8 @@ def run_fast_batched(
     :class:`~repro.simmpi.sharding.ShardSpec`) tiles it to the
     working-set budget via :func:`~repro.simmpi.sharding.plan_shards`,
     and an explicit :class:`~repro.simmpi.sharding.ShardPlan` is used
-    as given.  A spec's ``mode`` additionally picks the executor
-    (threads in-process vs the worker-process pool).  A plan that is a
-    single whole-plane tile runs inline like ``None`` in either mode:
-    a worker pool could only add the plane export and dispatch.
+    as given.  A plan that is a single whole-plane tile runs inline
+    like ``None``: a thread pool could only add dispatch.
     """
     if shard is None:
         return _run_whole_plane(program, rates, latency_s, bandwidth_gbps)
@@ -861,12 +840,9 @@ def run_fast_batched(
     plan = _resolve_shard_plan(shard, r.shape)
     if plan.n_col_shards == plan.n_row_blocks == 1:
         return _run_whole_plane(program, r, latency_s, bandwidth_gbps)
-    # Specs carry a mode; plans and "auto" mean the thread executor.
-    mode = shard.mode if isinstance(shard, ShardSpec) else "threads"
     return run_fast_sharded(
         program, r,
-        latency_s=latency_s, bandwidth_gbps=bandwidth_gbps,
-        plan=plan, mode=mode,
+        latency_s=latency_s, bandwidth_gbps=bandwidth_gbps, plan=plan,
     )
 
 

@@ -9,30 +9,14 @@ from repro.util.stats import (
     worst_case_variation,
     variation_summary,
 )
+from repro.util.cpus import effective_cpu_count
 from repro.util.tables import render_table
-from repro.util.topology import (
-    CpuBudget,
-    CpuLease,
-    NumaNode,
-    NumaTopology,
-    cpu_budget,
-    effective_cpu_count,
-    probe_topology,
-    reset_topology,
-)
 
 __all__ = [
     "as_contiguous_slice",
     "RngFactory",
     "spawn_rng",
-    "CpuBudget",
-    "CpuLease",
-    "NumaNode",
-    "NumaTopology",
-    "cpu_budget",
     "effective_cpu_count",
-    "probe_topology",
-    "reset_topology",
     "LinearFit",
     "linear_fit",
     "r_squared",

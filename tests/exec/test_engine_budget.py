@@ -1,23 +1,16 @@
-"""Composition proof for the process-wide CPU budget.
+"""Engine pool sizing follows the effective CPU count.
 
-``ExperimentEngine(jobs>1)`` worker pools, the process-sharded
-simulation executor, and inner tile threads all draw worker counts from
-the same :func:`~repro.util.topology.cpu_budget` / effective-affinity
-plumbing, so composed pools partition cores instead of oversubscribing.
-The audit surface is the placement gauges the engine records
-(``engine.cpu_budget.total`` / ``engine.pool.workers`` /
-``engine.pool.cpus_granted``): granted CPUs never exceed the budget, on
-any machine, for any composition — the acceptance criterion of the
-NUMA-locality change.
+``ExperimentEngine(jobs=0/None)`` and the load generator's default
+concurrency derive from :func:`~repro.util.cpus.effective_cpu_count`
+(the affinity mask, not ``os.cpu_count()``), and a parallel engine
+records the ``engine.pool.workers`` gauge.
 """
-
-import os
 
 import pytest
 
 import repro.telemetry as telemetry
-from repro.exec import ExperimentEngine, RunKey, ShardSpec
-from repro.util.topology import cpu_budget, effective_cpu_count, reset_topology
+from repro.exec import ExperimentEngine
+from repro.util.cpus import effective_cpu_count
 
 
 @pytest.fixture
@@ -27,67 +20,12 @@ def fresh_telemetry():
     telemetry.disable()
 
 
-def _sweep():
-    """Two batched groups (distinct fleet sizes), two keys each — enough
-    tasks that ``jobs=2`` genuinely fans out over the engine pool."""
-    from repro.experiments.common import DEFAULT_SEED
-
-    return [
-        RunKey(
-            system="ha8k", n_modules=n, seed=DEFAULT_SEED, app="bt",
-            scheme="vafsor", budget_w=cm * n, n_iters=2,
-        )
-        for n in (24, 32)
-        for cm in (70.0, 80.0)
-    ]
-
-
-class TestComposedPoolsRespectBudget:
-    def test_engine_jobs_times_procshard_stays_inside_budget(
-        self, fresh_telemetry, monkeypatch
-    ):
-        """The acceptance composition: ``jobs=2`` engine pool ×
-        ``--shard-mode=processes`` × pinned workers.  The distinct CPUs
-        the engine grants can never exceed the budget total."""
-        monkeypatch.delenv("REPRO_PROCSHARD_PIN", raising=False)
-        engine = ExperimentEngine(
-            jobs=2,
-            pin=True,
-            shard=ShardSpec(shard_ranks=13, shard_workers=2,
-                            mode="processes"),
-        )
-        engine.submit_batched_sweep(_sweep())
-        snap = telemetry.snapshot()
-        assert snap is not None
-        assert snap["engine.cpu_budget.total"] == cpu_budget().total
-        assert snap["engine.pool.workers"] == 2
-        assert (
-            snap["engine.pool.cpus_granted"] <= snap["engine.cpu_budget.total"]
-        )
-
-    def test_unpinned_pool_still_records_gauges(self, fresh_telemetry):
-        engine = ExperimentEngine(jobs=2, pin=False)
+class TestEnginePool:
+    def test_pool_records_worker_gauge(self, fresh_telemetry):
+        engine = ExperimentEngine(jobs=2)
         engine.map(abs, [-1, 2, -3, 4])
         snap = telemetry.snapshot()
         assert snap["engine.pool.workers"] == 2
-        assert (
-            snap["engine.pool.cpus_granted"] <= snap["engine.cpu_budget.total"]
-        )
-
-    def test_lease_released_after_sweep(self, fresh_telemetry):
-        reset_topology()
-        budget = cpu_budget()
-        before = budget.n_leases
-        engine = ExperimentEngine(jobs=2, pin=True)
-        engine.map(abs, [-1, 2, -3])
-        assert budget.n_leases == before
-        assert budget.claimed_cpus == 0
-
-    def test_sequential_engine_claims_nothing(self, fresh_telemetry):
-        reset_topology()
-        engine = ExperimentEngine(jobs=1)
-        engine.map(abs, [-1, 2])
-        assert cpu_budget().n_leases == 0
 
 
 class TestAffinityDerivedDefaults:
@@ -98,14 +36,6 @@ class TestAffinityDerivedDefaults:
     def test_explicit_jobs_preserved(self):
         assert ExperimentEngine(jobs=3).jobs == 3
         assert ExperimentEngine(jobs=-2).jobs == 1
-
-    def test_pin_resolution_rules(self):
-        has_affinity = hasattr(os, "sched_setaffinity")
-        auto = ExperimentEngine(jobs=4)
-        assert auto._resolve_pin(4) == has_affinity
-        assert ExperimentEngine(jobs=4, pin=False)._resolve_pin(4) is False
-        # A sequential pool never pins under auto.
-        assert ExperimentEngine(jobs=1)._resolve_pin(1) is False
 
     def test_loadgen_default_concurrency_is_affinity_derived(self):
         from repro.service.loadgen import _default_concurrency

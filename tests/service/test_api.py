@@ -229,9 +229,39 @@ class TestStrictValidation:
         assert exc.value.code == "bad-request"
 
     def test_garbage_line_rejected(self):
+        for line in (b"not json at all\n", b"[" * 100_000):
+            with pytest.raises(ServiceError) as exc:
+                decode_request(line)
+            assert exc.value.code == "bad-request"
+
+    @pytest.mark.parametrize(
+        "op,payload",
+        [
+            ("open-fleet", {"n_modules": "abc"}),
+            ("admit", {"fleet_id": "f0", "job_id": "j1", "n_modules": None}),
+            ("telemetry", {"samples": "x"}),
+            ("sweep", {"fleet_id": "f0", "budgets_w": [1e4], "n_iters": "x"}),
+            ("allocate", {"fleet_id": "f0", "budgets_w": [1e4], "test_module": "x"}),
+            ("allocate", {"fleet_id": "f0", "budgets_w": [1e4], "noisy": "false"}),
+            ("sweep", {"fleet_id": "f0", "budgets_w": [1e4], "noisy": "false"}),
+            ("allocate", {"fleet_id": "f0", "budgets_w": [float("nan")]}),
+            ("sweep", {"fleet_id": "f0", "budgets_w": [float("inf")]}),
+        ],
+    )
+    def test_malformed_payload_is_typed(self, op, payload):
         with pytest.raises(ServiceError) as exc:
-            decode_request(b"not json at all\n")
+            decode_request(self.envelope(op=op, payload=payload))
         assert exc.value.code == "bad-request"
+
+    def test_malformed_reply_is_internal(self):
+        line = json.dumps({
+            "schema_version": SCHEMA_VERSION, "op": "open-fleet", "ok": True,
+            "result": {"fleet_id": "f", "system": "ha8k", "n_modules": "abc",
+                       "seed": 1},
+        })
+        with pytest.raises(ServiceError) as exc:
+            decode_reply(line)
+        assert exc.value.code == "internal"
 
     def test_non_object_rejected(self):
         with pytest.raises(ServiceError) as exc:

@@ -83,6 +83,23 @@ class TestRequestReply:
         assert reply["ok"] is False
         assert reply["error"]["code"] == "bad-request"
 
+    def test_malformed_payload_gets_typed_reply_and_connection_serves_on(
+        self, server
+    ):
+        bad = {"schema_version": SCHEMA_VERSION, "op": "open-fleet",
+               "payload": {"n_modules": "abc"}}
+        ping = {"schema_version": SCHEMA_VERSION, "op": "ping", "payload": {}}
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
+            s.connect(server.address)
+            f = s.makefile("rb")
+            s.sendall(json.dumps(bad).encode() + b"\n")
+            reply = json.loads(f.readline())
+            s.sendall(json.dumps(ping).encode() + b"\n")
+            pong = json.loads(f.readline())
+        assert reply["ok"] is False
+        assert reply["error"]["code"] == "bad-request"
+        assert pong["ok"] is True
+
     def test_unknown_version_rejected_on_the_wire(self, server):
         line = (
             json.dumps(
@@ -226,7 +243,7 @@ class TestHttpAdapter:
             conn.request(
                 "POST",
                 path,
-                body=json.dumps(body),
+                body=body if isinstance(body, str) else json.dumps(body),
                 headers={"Content-Type": "application/json"},
             )
             resp = conn.getresponse()
@@ -282,6 +299,13 @@ class TestHttpAdapter:
             )
             assert status == 404
             assert reply["error"]["code"] == "unknown-op"
+
+            # malformed payload, or JSON nested too deep to parse -> 400
+            bad = {"schema_version": SCHEMA_VERSION, "payload": {"n_modules": "abc"}}
+            for body in (bad, "[" * 100_000):
+                status, reply = self.post(port, "/v1/open-fleet", body)
+                assert status == 400
+                assert reply["error"]["code"] == "bad-request"
 
     def test_oversize_content_length_is_413(self):
         with BackgroundServer(http_port=0) as server:

@@ -60,10 +60,10 @@ class TestArchitectureDoc:
 
 class TestReproducingDoc:
     def test_shard_mode_block_runs(self):
-        """The §6 shard-mode snippet is a live differential check: it
+        """The §6 thread-tiling snippet is a live differential check: it
         must execute and its bit-identity asserts must hold."""
         blocks = python_blocks(ROOT / "docs" / "REPRODUCING.md")
-        assert blocks, "REPRODUCING.md must contain the shard-mode snippet"
+        assert blocks, "REPRODUCING.md must contain the thread-tiling snippet"
         for i, code in enumerate(blocks):
             namespace: dict = {}
             exec(  # noqa: S102
@@ -72,19 +72,9 @@ class TestReproducingDoc:
 
     def test_env_knobs_mentioned_exist(self):
         text = (ROOT / "docs" / "REPRODUCING.md").read_text()
-        from repro.simmpi import procshard, sharding
-        from repro.util import topology
+        from repro.simmpi import sharding
 
         assert sharding._TARGET_ENV in text
-        assert procshard._TIMEOUT_ENV in text
-        assert procshard._PIN_ENV in text
-        assert topology._TOPOLOGY_ENV in text
-
-    def test_topology_section_documents_the_cli(self):
-        """§9 must keep the `repro topo` inspection flow discoverable."""
-        text = (ROOT / "docs" / "REPRODUCING.md").read_text()
-        assert "repro topo" in text
-        assert "--pin" in text
 
 
 class TestDesignDoc:

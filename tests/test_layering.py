@@ -8,6 +8,7 @@ plain ``pytest`` loop and adds direct pins for the load-bearing rule:
 total isolation from the budgeting framework it is modelling.
 """
 
+import ast
 import importlib.util
 import subprocess
 import sys
@@ -63,6 +64,26 @@ def test_telemetry_is_a_pure_leaf():
     assert ("telemetry", "core") in checker.FORBIDDEN
     assert ("telemetry", "exec") in checker.FORBIDDEN
     assert ("telemetry", "experiments") in checker.FORBIDDEN
+
+
+def test_shared_memory_stays_behind_two_modules():
+    # POSIX segments outlive the interpreter, so every owner of one is a
+    # place a leak can start: keep them to the fleet handoff and its
+    # attach helper.
+    checker = _load_checker()
+    allowed = {"util/shm.py", "exec/shared.py"}
+    users = set()
+    for py in checker.PACKAGE_ROOT.rglob("*.py"):
+        for node in ast.walk(ast.parse(py.read_text(), filename=str(py))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(n.startswith("multiprocessing.shared_memory") for n in names):
+                users.add(py.relative_to(checker.PACKAGE_ROOT).as_posix())
+    assert users <= allowed, sorted(users - allowed)
 
 
 def test_script_entrypoint_exits_zero():
