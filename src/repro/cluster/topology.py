@@ -63,11 +63,10 @@ def torus_neighbors(shape: tuple[int, ...]) -> np.ndarray:
     if not shape or any(s <= 0 for s in shape):
         raise ConfigurationError("shape must be non-empty with positive extents")
     n = int(np.prod(shape))
-    coords = np.unravel_index(np.arange(n), shape)
+    grid = np.arange(n).reshape(shape)
     neighbors = np.empty((n, 2 * len(shape)), dtype=int)
-    for axis, extent in enumerate(shape):
+    for axis in range(len(shape)):
         for k, delta in enumerate((-1, +1)):
-            shifted = list(coords)
-            shifted[axis] = (coords[axis] + delta) % extent
-            neighbors[:, 2 * axis + k] = np.ravel_multi_index(tuple(shifted), shape)
+            # roll by -delta puts rank (c + delta) mod extent at coordinate c.
+            neighbors[:, 2 * axis + k] = np.roll(grid, -delta, axis=axis).ravel()
     return neighbors

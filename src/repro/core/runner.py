@@ -36,6 +36,7 @@ from repro.cluster.system import System
 from repro.control.rapl_cap import RaplCapController
 from repro.core.budget import BudgetSolution
 from repro.core.pmmd import InstrumentedApp
+from repro.core.pmt import PowerModelTable
 from repro.core.pvt import PowerVariationTable
 from repro.core.schemes import PowerAllocation, Scheme, get_scheme
 from repro.errors import ConfigurationError, InfeasibleBudgetError
@@ -476,8 +477,11 @@ def run_budgeted_batched(
     """Run many (scheme, budget) configs of one app in a single batched pass.
 
     ``configs`` is a sequence of ``(scheme_or_name, budget_w)`` pairs.
-    Planning is grouped per scheme (one PMT build + one batched α-solve
-    each, :meth:`Scheme.allocate_batched`), actuation stays per config
+    Planning is grouped per scheme (one batched α-solve each,
+    :meth:`Scheme.allocate_batched`) and each distinct ``pmt_kind`` is
+    built once — the PMT depends on the kind, not on the actuation, so
+    VaPcOr/VaFsOr share one oracle table and VaPc/VaFs one calibrated
+    table.  Actuation stays per config
     (the RAPL dither stream is keyed by app/scheme/budget), and all
     simulations execute as one 2-D vectorised pass
     (:func:`~repro.simmpi.fastpath.simulate_app_batched`).
@@ -511,15 +515,23 @@ def run_budgeted_batched(
         truth = _truth_view(system, model)
         arch = system.arch
 
-        # One batched plan per distinct scheme in the batch.
+        # One batched plan per distinct scheme in the batch, one PMT per
+        # distinct kind (read-only, shared by the schemes of that kind).
         allocations: list = [None] * n_configs
         by_scheme: dict[str, list[int]] = {}
         schemes: dict[str, Scheme] = {}
         for i, (scheme, _b) in enumerate(resolved):
             by_scheme.setdefault(scheme.name, []).append(i)
             schemes[scheme.name] = scheme
+        pmts: dict[str, PowerModelTable] = {}
         for name, idxs in by_scheme.items():
-            plans = schemes[name].allocate_batched(
+            scheme = schemes[name]
+            pmt = pmts.get(scheme.pmt_kind)
+            if pmt is None:
+                pmt = pmts[scheme.pmt_kind] = scheme.build_pmt(
+                    system, model, pvt=pvt, test_module=test_module, noisy=noisy
+                )
+            plans = scheme.allocate_batched(
                 system,
                 model,
                 [resolved[i][1] for i in idxs],
@@ -528,6 +540,7 @@ def run_budgeted_batched(
                 noisy=noisy,
                 fs_guardband_frac=fs_guardband_frac,
                 chunk_modules=chunk_modules,
+                pmt=pmt,
             )
             for i, plan in zip(idxs, plans):
                 allocations[i] = plan

@@ -225,6 +225,7 @@ class Scheme:
         noisy: bool = True,
         fs_guardband_frac: float = 0.02,
         chunk_modules: int | None = None,
+        pmt: PowerModelTable | None = None,
     ) -> list["PowerAllocation | InfeasibleBudgetError"]:
         """Plan this scheme for *many* budgets: one PMT build, one
         batched α-solve.
@@ -237,6 +238,12 @@ class Scheme:
         it would raise (same (budget, floor) payload), so callers decide
         per budget instead of losing the whole sweep to one infeasible
         point.
+
+        ``pmt`` is plumbing, not a knob: a caller planning several
+        schemes of one ``pmt_kind`` on the same (fleet, app, PVT, test
+        module, noise) inputs passes the table :meth:`build_pmt` already
+        returned for them, and this call reuses it instead of building
+        an identical one.  The table is only read.
         """
         budgets = np.atleast_1d(np.asarray(budgets_w, dtype=float))
         with telemetry.span(
@@ -245,10 +252,14 @@ class Scheme:
             n_budgets=int(budgets.size),
         ):
             telemetry.count(f"scheme.allocate[{self.name}]", int(budgets.size))
-            system = _as_system(fleet)
-            pmt = self.build_pmt(
-                system, app, pvt=pvt, test_module=test_module, noisy=noisy
-            )
+            if pmt is None:
+                pmt = self.build_pmt(
+                    _as_system(fleet),
+                    app,
+                    pvt=pvt,
+                    test_module=test_module,
+                    noisy=noisy,
+                )
             fs_derated = self.actuation == "fs" and fs_guardband_frac > 0.0
             if fs_derated:
                 # Same per-budget derating as allocate(): never below

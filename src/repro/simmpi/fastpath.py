@@ -71,7 +71,7 @@ from repro.simmpi.eventsim import (
     Recv,
     Send,
 )
-from repro.simmpi.machine import BatchedBspMachine
+from repro.simmpi.machine import BatchedBspMachine, HaloPlan
 from repro.simmpi.sharding import ShardPlan, ShardSpec, plan_shards
 from repro.simmpi.tracing import RankTrace
 
@@ -138,10 +138,21 @@ class VAllreduce:
 
 @dataclass(frozen=True, eq=False)
 class VSendrecv:
-    """Halo exchange on an explicit ``(n_ranks, k)`` neighbour table."""
+    """Halo exchange on an explicit ``(n_ranks, k)`` neighbour table.
+
+    ``plan`` is the table's gather plan (:class:`HaloPlan`), derived
+    once here so every superstep of every run reuses it; it is ``None``
+    for a malformed table, which :class:`BspProgram` rejects.
+    """
 
     neighbors: np.ndarray
     message_bytes: float = 0.0
+    plan: HaloPlan | None = field(init=False, repr=False, default=None)
+
+    def __post_init__(self) -> None:
+        nb = np.asarray(self.neighbors)
+        if nb.ndim == 2 and nb.shape[0] > 0:
+            object.__setattr__(self, "plan", HaloPlan.shifts(nb))
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,8 +233,12 @@ class BspProgram:
 # — so each tile's ~20 arrays are touched many times while cache-hot and
 # streamed from DRAM only once per pass.  Per-segment local dt is
 # computed once per loop entry (it is loop-invariant) instead of once
-# per iteration.  An unsharded run is the same walk over one
-# whole-plane tile, inline.
+# per iteration.  A halo gather copies each torus column as one
+# contiguous shifted slice of the clock plane and patches the tile's
+# wrap rows (the op's HaloPlan, built once with the op); the detector
+# tests the uniform shift first and skips the four "close" comparisons
+# on a tile where no row is uniform.  An unsharded run is the same walk
+# over one whole-plane tile, inline.
 #
 # Bit-identity (ARCHITECTURE.md invariant 8): every tiled update applies
 # the same elementwise IEEE-754 ops as the whole-width update on the
@@ -444,16 +459,16 @@ def _sendrecv_phase1(ex: _ShardedExec, op: VSendrecv) -> tuple:
     clock is written until the pass completes.
     """
     m = ex.machine
-    nb = m.check_neighbors(op.neighbors)
+    plan = op.plan  # the table was validated with its BspProgram
     if ex.ready is None:
         ex.ready = np.empty(m.rates.shape)
     ready = ex.ready
 
     def visit(t: int, a: int, b: int) -> None:
-        m.gather_ready_cols(a, b, nb, ready[:, a:b], ex.gather_pair(t))
+        m.gather_ready_cols(a, b, plan, ready[:, a:b], ex.gather_pair(t))
 
     ex.foreach(visit)
-    return ("sendrecv", ready, m.sendrecv_cost(nb.shape[1], op.message_bytes))
+    return ("sendrecv", ready, m.sendrecv_cost(plan.k, op.message_bytes))
 
 
 def _ref_delta(
@@ -500,10 +515,12 @@ def _closing_pass(
 
     The predicate is ``np.isclose``'s finite-operand form
     ``|d - p| <= 1e-15 + 1e-12·|p|`` (sim deltas are always finite),
-    evaluated into tile scratch: "close" compares each of the four
-    increments with the previous iteration's, "uniform" compares the
-    clock increment with column 0's.  A row's whole-width ``.all`` is
-    the AND of its tile ``.all``\\ s."""
+    evaluated into tile scratch: "uniform" compares the clock increment
+    with column 0's, "close" compares each of the four increments with
+    the previous iteration's.  A row's whole-width ``.all`` is the AND
+    of its tile ``.all``\\ s, and its verdict is close AND uniform — so
+    a tile where no row is uniform skips the close comparisons: they
+    could not change any verdict."""
     m = ex.machine
 
     def visit(t: int, a: int, b: int) -> None:
@@ -515,6 +532,13 @@ def _closing_pass(
         if ref is None:
             return
         _wait, diff, tol = ex.scratch(t)
+        np.subtract(delta[0][:, a:b], ref, out=diff)
+        np.abs(diff, out=diff)
+        uni = (diff <= rtol).all(axis=1)
+        uni_parts[:, t] = uni
+        if not uni.any():
+            ok_parts[:, t] = False
+            return
         ok = None
         for d, p in zip(delta, prev):
             np.subtract(d[:, a:b], p[:, a:b], out=diff)
@@ -525,9 +549,6 @@ def _closing_pass(
             good = (diff <= tol).all(axis=1)
             ok = good if ok is None else ok & good
         ok_parts[:, t] = ok
-        np.subtract(delta[0][:, a:b], ref, out=diff)
-        np.abs(diff, out=diff)
-        uni_parts[:, t] = (diff <= rtol).all(axis=1)
 
     ex.foreach(visit)
 

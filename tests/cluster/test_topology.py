@@ -85,3 +85,31 @@ class TestTorus:
             torus_neighbors(())
         with pytest.raises(ConfigurationError):
             torus_neighbors((0, 2))
+
+    @staticmethod
+    def unravel_reference(shape):
+        """The coordinate formula: unravel each rank, step one axis, and
+        ravel back."""
+        n = int(np.prod(shape))
+        coords = np.unravel_index(np.arange(n), shape)
+        out = np.empty((n, 2 * len(shape)), dtype=int)
+        for axis, extent in enumerate(shape):
+            for k, delta in enumerate((-1, +1)):
+                shifted = list(coords)
+                shifted[axis] = (coords[axis] + delta) % extent
+                out[:, 2 * axis + k] = np.ravel_multi_index(tuple(shifted), shape)
+        return out
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=4).map(tuple))
+    def test_matches_unravel_formula(self, shape):
+        nb = torus_neighbors(shape)
+        want = self.unravel_reference(shape)
+        assert nb.dtype == want.dtype
+        assert np.array_equal(nb, want)
+
+    def test_matches_unravel_formula_at_fleet_shapes(self):
+        for shape in [(400, 250), (50, 50, 40), (37, 1), (1, 1, 1), (2, 1, 2)]:
+            assert np.array_equal(
+                torus_neighbors(shape), self.unravel_reference(shape)
+            )
