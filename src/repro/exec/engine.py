@@ -464,8 +464,8 @@ class ExperimentEngine:
         The cache pass is identical to :meth:`submit_sweep`.  Pending
         budgeted keys sharing a :func:`_group_signature` then execute as
         **one** vectorised :func:`~repro.core.runner.run_budgeted_batched`
-        pass per group — one fleet build, one PMT + batched α-solve per
-        scheme, one 2-D simulation.  Keys that cannot batch (uncapped
+        pass per group — one fleet build, one PMT per PMT kind, one
+        batched α-solve per scheme, one 2-D simulation.  Keys that cannot batch (uncapped
         runs, singleton groups) fall back to the per-key path.  With
         ``jobs > 1`` each distinct fleet ships to the worker pool once
         through :mod:`repro.exec.shared` (zero-copy shared-memory views)
