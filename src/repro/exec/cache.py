@@ -30,16 +30,21 @@ once.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import math
 import os
 import struct
 import tempfile
+import zipfile
+import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from repro.core.budget import BudgetSolution
 from repro.core.runner import RunResult
@@ -238,6 +243,87 @@ def payload_to_result(meta: dict, arrays: dict[str, np.ndarray]) -> RunResult:
     )
 
 
+#: Zip local file header: signature, then (after the fixed fields) the
+#: lengths of the name and extra fields that precede the member's data.
+_ZIP_LOCAL = struct.Struct("<4s22xHH")
+#: Width of the ``.npy`` header-length field after the 8-byte magic
+#: and version, per format version.
+_NPY_LENGTHS = {(1, 0): struct.Struct("<H"), (2, 0): struct.Struct("<I")}
+_NPY_HEADERS = {
+    (1, 0): npy_format.read_array_header_1_0,
+    (2, 0): npy_format.read_array_header_2_0,
+}
+
+
+@functools.lru_cache(maxsize=64)
+def _npy_header(head: bytes) -> tuple[tuple[int, ...], bool, np.dtype]:
+    """numpy's own parse of one ``.npy`` preamble (magic through the
+    header dict): ``(shape, fortran_order, dtype)``.
+
+    numpy parses the dict with ``ast.literal_eval``, about a fifth of a
+    lookup's CPU time for a dozen members, while entries of one fleet
+    size repeat the same dozen headers — so the parse is memoised on
+    the header's bytes.
+    """
+    fh = io.BytesIO(head)
+    read_header = _NPY_HEADERS.get(npy_format.read_magic(fh))
+    if read_header is None:
+        raise ValueError("unsupported .npy format version")
+    shape, fortran, dtype = read_header(fh)
+    if fh.tell() != len(head):
+        raise ValueError(".npy header length disagrees with its dict")
+    return shape, fortran, dtype
+
+
+def _read_npz(path: Path) -> dict[str, np.ndarray]:
+    """The arrays of one entry, as :func:`np.load` would return them.
+
+    The file is read with one ``readinto``; every member is checked
+    against its zip CRC-32 and becomes a writable view of that buffer.
+    ``np.load`` instead copies each member through ``zipfile``'s
+    chunked reads: on a 32,768-module entry that was a third of a
+    lookup's CPU time.
+    Anything outside the layout :meth:`ResultCache._write` produces
+    (stored members, ``.npy`` v1/v2 headers, no object dtypes) raises
+    ``ValueError``, as do a CRC mismatch and size inconsistencies.
+    """
+    with open(path, "rb") as fh:
+        # Uninitialised: readinto overwrites every byte, and a zero fill
+        # would stream the entry through the caches once more.
+        buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        if fh.readinto(buf) != len(buf):
+            raise ValueError(f"short read of {path}")
+        infos = zipfile.ZipFile(fh).infolist()
+    view = memoryview(buf)
+    arrays: dict[str, np.ndarray] = {}
+    for info in infos:
+        if info.compress_type != zipfile.ZIP_STORED:
+            raise ValueError(f"{info.filename} is compressed")
+        sig, n_name, n_extra = _ZIP_LOCAL.unpack_from(buf, info.header_offset)
+        if sig != b"PK\x03\x04":
+            raise ValueError(f"bad local header for {info.filename}")
+        start = info.header_offset + _ZIP_LOCAL.size + n_name + n_extra
+        end = start + info.file_size
+        if end > len(buf) or zlib.crc32(view[start:end]) != info.CRC:
+            raise ValueError(f"{info.filename} fails its CRC")
+        length = _NPY_LENGTHS.get(tuple(view[start + 6 : start + 8]))
+        if length is None:
+            raise ValueError(f"{info.filename} is not a v1/v2 .npy member")
+        n_head = 8 + length.size + length.unpack_from(buf, start + 8)[0]
+        if start + n_head > end:
+            raise ValueError(f"{info.filename} is shorter than its header")
+        shape, fortran, dtype = _npy_header(bytes(view[start : start + n_head]))
+        count = math.prod(shape)
+        offset = start + n_head
+        if dtype.hasobject or offset + count * dtype.itemsize != end:
+            raise ValueError(f"{info.filename} is not a plain array")
+        flat = np.frombuffer(buf, dtype=dtype, count=count, offset=offset)
+        arrays[info.filename.removesuffix(".npy")] = (
+            flat.reshape(shape[::-1]).T if fortran else flat.reshape(shape)
+        )
+    return arrays
+
+
 class ResultCache:
     """Directory of ``<digest>.npz`` entries, one per :class:`RunKey`.
 
@@ -266,21 +352,17 @@ class ResultCache:
         Raises :class:`InfeasibleBudgetError` when the cached entry
         records that this key's budget is infeasible.
         """
-        path = self._path(key)
         try:
-            data = np.load(path, allow_pickle=False)
-        except (FileNotFoundError, OSError, ValueError):
+            arrays = _read_npz(self._path(key))
+            meta = json.loads(str(arrays.pop("meta")[()]))
+        except (OSError, ValueError, KeyError, struct.error, zipfile.BadZipFile):
             return None  # missing or torn/corrupt entry == miss
+        if meta.get("kind") == "infeasible":
+            raise InfeasibleBudgetError(meta["budget_w"], meta["floor_w"])
         try:
-            meta = json.loads(str(data["meta"][()]))
-            if meta.get("kind") == "infeasible":
-                raise InfeasibleBudgetError(meta["budget_w"], meta["floor_w"])
-            arrays = {k: data[k] for k in data.files if k != "meta"}
             return payload_to_result(meta, arrays)
         except KeyError:
             return None
-        finally:
-            data.close()
 
     def put(self, key: RunKey, result: RunResult) -> None:
         """Store ``result`` under ``key`` (atomic; last writer wins)."""

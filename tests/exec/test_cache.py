@@ -7,6 +7,11 @@ through the on-disk NPZ format.
 """
 
 import dataclasses
+import json
+import struct
+import tempfile
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, InfeasibleBudgetError
 from repro.exec import ResultCache, RunKey, execute_key
-from repro.exec.cache import payload_to_result, result_to_payload
+from repro.exec.cache import _read_npz, payload_to_result, result_to_payload
 
 # -- RunKey strategies --------------------------------------------------------
 
@@ -228,3 +233,90 @@ class TestSerialization:
         cache.put(_small_key(), execute_key(_small_key()))
         assert cache.clear() == 1
         assert len(cache) == 0
+
+
+# -- the entry reader ----------------------------------------------------------
+
+_member_arrays = st.one_of(
+    st.builds(
+        lambda shape, dtype, fortran, seed: np.asarray(
+            np.random.default_rng(seed).integers(0, 2**31, size=shape),
+            order="F" if fortran else "C",
+        ).astype(dtype, order="F" if fortran else "C"),
+        shape=st.lists(st.integers(0, 5), min_size=0, max_size=3).map(tuple),
+        dtype=st.sampled_from(["<f8", "<f4", "<i8", "<i4", "|b1", "|u1"]),
+        fortran=st.booleans(),
+        seed=st.integers(0, 2**16),
+    ),
+    st.text(max_size=40).map(np.array),
+)
+
+
+class TestEntryReader:
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(
+        st.from_regex(r"[a-z_]{1,12}", fullmatch=True), _member_arrays,
+        min_size=1, max_size=5,
+    ))
+    def test_matches_np_load_bit_for_bit(self, members):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "entry.npz"
+            np.savez(path, **members)
+            got = _read_npz(path)
+            with np.load(path, allow_pickle=False) as want:
+                assert sorted(got) == sorted(want.files)
+                for name in want.files:
+                    w = want[name]
+                    assert got[name].dtype == w.dtype
+                    assert got[name].shape == w.shape
+                    assert got[name].tobytes(order="A") == w.tobytes(order="A")
+                    assert np.array_equal(got[name], w)
+                    assert got[name].flags.writeable
+
+    def test_arrays_outlive_the_file(self, tmp_path):
+        key = _small_key()
+        result = execute_key(key)
+        cache = ResultCache(tmp_path)
+        cache.put(key, result)
+        got = cache.get(key)
+        cache.clear()
+        _assert_results_identical(got, result)
+        got.cpu_power_w[0] += 1.0  # writable, like np.load's arrays
+
+    def test_flipped_data_byte_reads_as_miss(self, tmp_path):
+        key = _small_key()
+        cache = ResultCache(tmp_path)
+        cache.put(key, execute_key(key))
+        path = tmp_path / f"{key.digest()}.npz"
+        blob = bytearray(path.read_bytes())
+        # Flip one exponent bit of the last float of a member's data: the
+        # entry still parses, only its CRC tells it is not what was put.
+        with zipfile.ZipFile(path) as z:
+            info = z.getinfo("cpu_power_w.npy")
+        n_name, n_extra = struct.unpack_from("<HH", blob, info.header_offset + 26)
+        end = info.header_offset + 30 + n_name + n_extra + info.file_size
+        blob[end - 1] ^= 0x01
+        path.write_bytes(bytes(blob))
+        assert cache.get(key) is None
+
+    @pytest.mark.parametrize("keep", [0, 10, 100, 0.5, -22, -1])
+    def test_truncated_entry_reads_as_miss(self, tmp_path, keep):
+        key = _small_key()
+        cache = ResultCache(tmp_path)
+        cache.put(key, execute_key(key))
+        path = tmp_path / f"{key.digest()}.npz"
+        blob = path.read_bytes()
+        n = int(len(blob) * keep) if isinstance(keep, float) else keep % len(blob)
+        path.write_bytes(blob[:n])
+        assert cache.get(key) is None
+
+    def test_compressed_entry_reads_as_miss(self, tmp_path):
+        key = _small_key()
+        cache = ResultCache(tmp_path)
+        meta, arrays = result_to_payload(execute_key(key))
+        np.savez_compressed(
+            tmp_path / f"{key.digest()}.npz",
+            meta=np.array(json.dumps(meta)),
+            **arrays,
+        )
+        assert cache.get(key) is None
